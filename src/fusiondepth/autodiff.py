@@ -66,9 +66,6 @@ class Tensor:
             raise ShapeError(f"item() needs a single element, shape is {self.shape}")
         return float(self.values.reshape(()))
 
-    def detach(self):
-        return Tensor(self.values.copy())
-
     def zero_grad(self):
         self.grad = None
 

@@ -5,12 +5,16 @@ coordinate channels and fused with its neighbour levels (reshaped to the
 level's extents) before decoding. Disparity comes out at 4 scales through
 sigmoid heads scaled by d_max; when refinement is enabled the three finest
 scales are produced by residual sub-pixel refinement instead of direct
-heads. Includes the flat binary checkpoint format ("FDPT1").
+heads. Includes the flat `key = value` config syntax and the binary
+checkpoint format ("FDPT2"), whose header stores the architecture.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import struct
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,10 +56,81 @@ class ArchConfig:
 
 
 # ---------------------------------------------------------------------------
+# flat `key = value` config text
+#
+# A key table maps each config key to (dataclass, field name). The parser and
+# the formatter of a value follow from the type of the field's default: bool,
+# int, float, str, or a tuple of int / float.
+
+ARCH_KEYS = {
+    "arch.levels": (ArchConfig, "num_levels"),
+    "arch.widths": (ArchConfig, "widths"),
+    "arch.kernel": (ArchConfig, "kernel_size"),
+    "arch.reservation": (ArchConfig, "reservation"),
+    "arch.coordconv": (ArchConfig, "coordconv_enabled"),
+    "arch.fusion": (ArchConfig, "fusion_enabled"),
+    "arch.refinement": (ArchConfig, "refinement_enabled"),
+    "arch.d_max": (ArchConfig, "d_max"),
+}
+
+
+def _parse_value(text, default):
+    if isinstance(default, bool):
+        lowered = text.lower()
+        if lowered in ("true", "yes", "1", "on"):
+            return True
+        if lowered in ("false", "no", "0", "off"):
+            return False
+        raise ConfigError(f"expected a boolean, got {text!r}")
+    if isinstance(default, tuple):
+        return tuple(type(default[0])(part.strip()) for part in text.split(",") if part.strip())
+    return type(default)(text)
+
+
+def _format_value(value):
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        return ", ".join(_format_value(v) for v in value)
+    if isinstance(value, float):
+        return repr(value)  # shortest text that parses back to the same float
+    return str(value)
+
+
+def read_config_lines(lines, keys, where):
+    """Parse `key = value` lines (`#` starts a comment) against a key table.
+
+    Returns {dataclass: {field: value}}; a key given twice keeps its last
+    value. Errors are ConfigErrors naming `where` and the line number.
+    """
+    values = defaultdict(dict)
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{where}:{lineno}: expected `key = value`, got {raw.rstrip()!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in keys:
+            raise ConfigError(f"{where}:{lineno}: unknown key {key!r}")
+        cls, name = keys[key]
+        try:
+            # a dataclass field with a plain default keeps it as a class attribute
+            values[cls][name] = _parse_value(value, getattr(cls, name))
+        except (ValueError, TypeError) as e:
+            raise ConfigError(f"{where}:{lineno}: bad value for {key}: {e}") from None
+    return values
+
+
+def format_config_lines(keys, *objects):
+    """One `key = value` line per table row, read from the object of that row's dataclass."""
+    by_type = {type(obj): obj for obj in objects}
+    return "".join(f"{key} = {_format_value(getattr(by_type[cls], name))}\n"
+                   for key, (cls, name) in keys.items())
+
+
+# ---------------------------------------------------------------------------
 # coordinate channels
-
-
-_coord_cache = {}
 
 
 def coord_channels(height, width, center=None):
@@ -63,13 +138,9 @@ def coord_channels(height, width, center=None):
 
     Ramps span [-1, 1]; the radius sqrt((i - ci)^2 + (j - cj)^2) is measured
     from `center` (default (h/2, w/2)) and normalized by the largest corner
-    radius so it lands in [0, 1]. Returns a cached (1, 3, h, w) array.
+    radius so it lands in [0, 1]. Returns a (1, 3, h, w) array.
     """
     ci, cj = (height / 2.0, width / 2.0) if center is None else (float(center[0]), float(center[1]))
-    key = (height, width, ci, cj)
-    cached = _coord_cache.get(key)
-    if cached is not None:
-        return cached
     rows = np.linspace(-1.0, 1.0, height) if height > 1 else np.zeros(1)
     cols = np.linspace(-1.0, 1.0, width) if width > 1 else np.zeros(1)
     ii, jj = np.meshgrid(np.arange(height, dtype=np.float64), np.arange(width, dtype=np.float64), indexing="ij")
@@ -78,30 +149,24 @@ def coord_channels(height, width, center=None):
     rmax = max(np.hypot(r - ci, c - cj) for r, c in corners)
     if rmax > 0.0:
         radius = radius / rmax
-    out = np.stack(
+    return np.stack(
         [np.broadcast_to(rows[:, None], (height, width)),
          np.broadcast_to(cols[None, :], (height, width)),
          radius]
     )[None]
-    out = np.ascontiguousarray(out)
-    out.setflags(write=False)
-    _coord_cache[key] = out
-    return out
 
 
-_coord_tensor_cache = {}
+@functools.lru_cache(maxsize=64)
+def _coord_tensor(n, height, width, center):
+    base = coord_channels(height, width, center)
+    return ad.Tensor(np.ascontiguousarray(np.broadcast_to(base, (n, 3, height, width))))
 
 
 def coordconv_augment(feature, principal_point=None):
     """Append the i / j / radius channels to a feature map."""
     n, _, h, w = feature.shape
-    base = coord_channels(h, w, principal_point)
-    key = (n, id(base))
-    coords = _coord_tensor_cache.get(key)
-    if coords is None:
-        coords = ad.Tensor(np.ascontiguousarray(np.broadcast_to(base, (n, 3, h, w))))
-        _coord_tensor_cache[key] = coords
-    return ad.concat_channels([feature, coords])
+    center = None if principal_point is None else (float(principal_point[0]), float(principal_point[1]))
+    return ad.concat_channels([feature, _coord_tensor(n, h, w, center)])
 
 
 # ---------------------------------------------------------------------------
@@ -242,17 +307,18 @@ class RefineModule:
             tail.weight.values[:] = 0.0
             tail.bias.values[:] = 0.0
 
-    def _coarse_logits(self, coarse_disp, d_max):
+    def _sr_logits(self, coarse_disp, d_max):
+        """Coarse disparity back to logits, then the sr conv and pixel shuffle."""
         frac = ad.clamp(ad.scale(coarse_disp, 1.0 / d_max), self.LOGIT_MARGIN, 1.0 - self.LOGIT_MARGIN)
-        return ad.sub(ad.log(frac), ad.log(ad.sub(ad.scalar(1.0), frac)))
+        logits = ad.sub(ad.log(frac), ad.log(ad.sub(ad.scalar(1.0), frac)))
+        return ad.pixel_shuffle(self.sr(logits), 2)
 
     def super_resolve(self, coarse_disp, d_max):
         """The bare sub-pixel coarse path, no residual correction."""
-        logits = ad.pixel_shuffle(self.sr(self._coarse_logits(coarse_disp, d_max)), 2)
-        return ad.scale(ad.sigmoid(logits), d_max)
+        return ad.scale(ad.sigmoid(self._sr_logits(coarse_disp, d_max)), d_max)
 
     def __call__(self, coarse_disp, features, d_max):
-        sr_logits = ad.pixel_shuffle(self.sr(self._coarse_logits(coarse_disp, d_max)), 2)
+        sr_logits = self._sr_logits(coarse_disp, d_max)
         tower = ad.elu(self.res1(features))
         tower = ad.elu(self.res2(tower))
         tower = ad.elu(self.res3(tower))
@@ -427,11 +493,12 @@ def count_parameters(net):
 
 
 # ---------------------------------------------------------------------------
-# checkpoint format: b"FDPT1", then per parameter (in construction order):
-#   uint16 LE name length, utf-8 name, 4x uint64 LE extents,
-#   float64 LE values in C order.
+# checkpoint format: b"FDPT2", a uint32 LE header length, the header (the
+# arch.* lines of the config syntax, utf-8), then per parameter (in
+# construction order): uint16 LE name length, utf-8 name, 4x uint64 LE
+# extents, float64 LE values in C order.
 
-CHECKPOINT_MAGIC = b"FDPT1"
+CHECKPOINT_MAGIC = b"FDPT2"
 
 
 class CheckpointError(IOError):
@@ -439,8 +506,11 @@ class CheckpointError(IOError):
 
 
 def save_checkpoint(path, net):
+    header = format_config_lines(ARCH_KEYS, net.cfg).encode("utf-8")
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
+        f.write(struct.pack("<I", len(header)))
+        f.write(header)
         for name, t in net.parameters():
             encoded = name.encode("utf-8")
             f.write(struct.pack("<H", len(encoded)))
@@ -449,110 +519,70 @@ def save_checkpoint(path, net):
             f.write(t.values.astype("<f8", copy=False).tobytes())
 
 
+def _read_header(path, blob):
+    """The ArchConfig stored after the magic, and the offset of the first record."""
+    off = len(CHECKPOINT_MAGIC)
+    if off + 4 > len(blob):
+        raise CheckpointError(f"{path}: truncated header length at byte {off}")
+    (hlen,) = struct.unpack_from("<I", blob, off)
+    off += 4
+    if off + hlen > len(blob):
+        raise CheckpointError(f"{path}: architecture header at byte {off} runs past end of file")
+    try:
+        text = blob[off:off + hlen].decode("utf-8")
+        fields = read_config_lines(text.splitlines(), ARCH_KEYS, "header")[ArchConfig]
+        missing = [key for key, (_, name) in ARCH_KEYS.items() if name not in fields]
+        if missing:
+            raise ConfigError(f"missing {', '.join(missing)}")
+        cfg = ArchConfig(**fields)
+    except (UnicodeDecodeError, ConfigError) as e:
+        raise CheckpointError(f"{path}: bad architecture header at byte {off}: {e}") from None
+    return cfg, off + hlen
+
+
 def read_checkpoint(path):
-    """Read a checkpoint into an ordered {name: array} dict."""
+    """Read a checkpoint into its ArchConfig and an ordered {name: array} dict."""
     with open(path, "rb") as f:
         blob = f.read()
-    if blob[:5] != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"{path}: bad magic {blob[:5]!r}, expected {CHECKPOINT_MAGIC!r}")
+    magic = blob[:len(CHECKPOINT_MAGIC)]
+    if magic == b"FDPT1":
+        raise CheckpointError(f"{path}: FDPT1 checkpoint carries no architecture header; only FDPT2 loads")
+    if magic != CHECKPOINT_MAGIC:
+        raise CheckpointError(f"{path}: bad magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
+    cfg, off = _read_header(path, blob)
     state = {}
-    off = 5
     while off < len(blob):
+        start = off
         if off + 2 > len(blob):
-            raise CheckpointError(f"{path}: truncated record header at byte {off}")
+            raise CheckpointError(f"{path}: truncated record header at byte {start}")
         (nlen,) = struct.unpack_from("<H", blob, off)
         off += 2
         if off + nlen + 32 > len(blob):
-            raise CheckpointError(f"{path}: truncated record at byte {off}")
-        name = blob[off:off + nlen].decode("utf-8")
+            raise CheckpointError(f"{path}: truncated record at byte {start}")
+        try:
+            name = blob[off:off + nlen].decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"{path}: record name at byte {off} is not utf-8") from None
+        if name in state:
+            raise CheckpointError(f"{path}: duplicate record {name!r} at byte {start}")
         off += nlen
         shape = struct.unpack_from("<4Q", blob, off)
         off += 32
-        count = int(np.prod(shape))
-        end = off + 8 * count
-        if end > len(blob):
-            raise CheckpointError(f"{path}: payload for {name} runs past end of file")
+        count = math.prod(shape)  # Python ints: huge extents cannot wrap to a small count
+        if 8 * count > len(blob) - off:
+            raise CheckpointError(f"{path}: payload of {name!r} at byte {off} runs past end of file")
         state[name] = np.frombuffer(blob, dtype="<f8", count=count, offset=off).reshape(shape).copy()
-        off = end
-    return state
+        off += 8 * count
+    return cfg, state
 
 
-def _arch_from_state(state):
-    """Recover an ArchConfig from checkpoint record names and shapes."""
-    levels = set()
-    for name in state:
-        if name.startswith("encoder."):
-            levels.add(int(name.split(".")[1]))
-    if not levels:
-        raise CheckpointError("no encoder records in checkpoint")
-    L = max(levels)
-    if levels != set(range(1, L + 1)):
-        raise CheckpointError(f"encoder levels {sorted(levels)} are not contiguous")
-    widths = tuple(state[f"encoder.{p}.conv1.weight"].shape[0] for p in range(1, L + 1))
-    kernel = state["encoder.1.conv1.weight"].shape[2]
-    fusion_enabled = any(".proj_same." in name for name in state)
-    refinement_enabled = any(name.startswith("refine.") for name in state)
-    if fusion_enabled:
-        probe = state["fusion.1.proj_same.weight"].shape[1]
-    else:
-        probe = state["fusion.1.conv.weight"].shape[1]
-    coordconv_enabled = probe == widths[0] + 3
-    if fusion_enabled:
-        # reservation recovered from an interior level when available so the
-        # integer re-split reproduces the stored budgets at every level
-        p = 2 if L >= 3 else 1
-        w_p = widths[p - 1]
-        same = state[f"fusion.{p}.proj_same.weight"].shape[0]
-        reservation = same / w_p
-    else:
-        reservation = 0.5
-    return ArchConfig(
-        num_levels=L,
-        widths=widths,
-        kernel_size=kernel,
-        reservation=reservation,
-        coordconv_enabled=coordconv_enabled,
-        fusion_enabled=fusion_enabled,
-        refinement_enabled=refinement_enabled,
-    )
-
-
-def _conform_fusion_budgets(net, state):
-    """Resize fusion projection layers to the stored shapes.
-
-    Integer channel budgets are derived from the reservation ratio, and the
-    ratio recovered from a checkpoint may re-round differently at some
-    levels; the stored shapes are authoritative.
-    """
-    for block in net.fusion:
-        total = 0
-        for proj in (block.proj_down, block.proj_same, block.proj_up):
-            if proj is None:
-                continue
-            stored = state.get(proj.name + ".weight")
-            if stored is None:
-                raise CheckpointError(f"missing record {proj.name}.weight")
-            if stored.shape != proj.weight.shape:
-                proj.weight = ad.zeros(stored.shape, requires_grad=True)
-                proj.bias = ad.zeros((1, stored.shape[0], 1, 1), requires_grad=True)
-            total += stored.shape[0]
-        if block.proj_same is not None and total != block.conv.weight.shape[1]:
-            raise CheckpointError(
-                f"fusion.{block.level}: projected channels {total} != conv input {block.conv.weight.shape[1]}"
-            )
-
-
-def load_checkpoint(path, d_max=None):
-    """Rebuild a network from a checkpoint alone.
-
-    The architecture is inferred from record names/shapes; d_max is not
-    stored in the weights and defaults to the ArchConfig default.
-    """
-    state = read_checkpoint(path)
-    cfg = _arch_from_state(state)
-    if d_max is not None:
-        cfg.d_max = float(d_max)
+def load_checkpoint(path):
+    """Rebuild a network from a checkpoint alone: the architecture its header
+    stores, then the weights of its records."""
+    cfg, state = read_checkpoint(path)
     net = DepthNet(cfg, seed=0)
-    _conform_fusion_budgets(net, state)
-    net.load_state_dict(state)
+    try:
+        net.load_state_dict(state)
+    except ConfigError as e:
+        raise CheckpointError(f"{path}: records do not match the stored architecture: {e}") from None
     return net

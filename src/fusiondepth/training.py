@@ -16,7 +16,8 @@ import numpy as np
 from . import autodiff as ad
 from . import scenes
 from .losses import LossTerms, LossWeights, StereoSample, total_loss
-from .network import ArchConfig, ConfigError, DepthNet, save_checkpoint
+from .network import (ARCH_KEYS, ArchConfig, ConfigError, DepthNet, format_config_lines, read_config_lines,
+                      save_checkpoint)
 
 
 @dataclass
@@ -143,90 +144,34 @@ def run_schedule(cfg: TrainConfig, log=None):
 # flat `key = value` config files
 
 
-def _parse_bool(text):
-    lowered = text.lower()
-    if lowered in ("true", "yes", "1", "on"):
-        return True
-    if lowered in ("false", "no", "0", "off"):
-        return False
-    raise ConfigError(f"expected a boolean, got {text!r}")
-
-
-def _parse_tuple(text, kind):
-    return tuple(kind(part.strip()) for part in text.split(",") if part.strip())
+CONFIG_KEYS = {
+    **ARCH_KEYS,
+    "loss.alpha_ssim": (LossWeights, "alpha_ssim"),
+    "loss.smoothness": (LossWeights, "smoothness"),
+    "loss.lr_consistency": (LossWeights, "lr_consistency"),
+    "loss.occlusion": (LossWeights, "occlusion"),
+    "loss.scale_factors": (LossWeights, "scale_factors"),
+    "train.lr": (TrainConfig, "lr"),
+    "train.beta1": (TrainConfig, "beta1"),
+    "train.beta2": (TrainConfig, "beta2"),
+    "train.eps": (TrainConfig, "eps"),
+    "train.batch_size": (TrainConfig, "batch_size"),
+    "train.stage_epochs": (TrainConfig, "stage_epochs"),
+    "train.seed": (TrainConfig, "seed"),
+    "train.checkpoint_dir": (TrainConfig, "checkpoint_dir"),
+    "data.dir": (TrainConfig, "dataset_dir"),
+}
 
 
 def parse_config(path):
     """Read a TrainConfig from namespaced `key = value` lines."""
-    arch = {}
-    loss = {}
-    train = {}
-    setters = {
-        "arch.levels": ("num_levels", int, arch),
-        "arch.widths": ("widths", lambda s: _parse_tuple(s, int), arch),
-        "arch.kernel": ("kernel_size", int, arch),
-        "arch.reservation": ("reservation", float, arch),
-        "arch.coordconv": ("coordconv_enabled", _parse_bool, arch),
-        "arch.fusion": ("fusion_enabled", _parse_bool, arch),
-        "arch.refinement": ("refinement_enabled", _parse_bool, arch),
-        "arch.d_max": ("d_max", float, arch),
-        "loss.alpha_ssim": ("alpha_ssim", float, loss),
-        "loss.smoothness": ("smoothness", float, loss),
-        "loss.lr_consistency": ("lr_consistency", float, loss),
-        "loss.occlusion": ("occlusion", float, loss),
-        "loss.scale_factors": ("scale_factors", lambda s: _parse_tuple(s, float), loss),
-        "train.lr": ("lr", float, train),
-        "train.beta1": ("beta1", float, train),
-        "train.beta2": ("beta2", float, train),
-        "train.eps": ("eps", float, train),
-        "train.batch_size": ("batch_size", int, train),
-        "train.stage_epochs": ("stage_epochs", lambda s: _parse_tuple(s, int), train),
-        "train.seed": ("seed", int, train),
-        "train.checkpoint_dir": ("checkpoint_dir", str, train),
-        "data.dir": ("dataset_dir", str, train),
-    }
     with open(path) as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected `key = value`, got {raw.rstrip()!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in setters:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            name, convert, bucket = setters[key]
-            try:
-                bucket[name] = convert(value)
-            except (ValueError, TypeError) as e:
-                raise ConfigError(f"{path}:{lineno}: bad value for {key}: {e}") from None
-    return TrainConfig(arch=ArchConfig(**arch), loss=LossWeights(**loss), **train)
+        values = read_config_lines(f, CONFIG_KEYS, path)
+    return TrainConfig(arch=ArchConfig(**values[ArchConfig]), loss=LossWeights(**values[LossWeights]),
+                       **values[TrainConfig])
 
 
 def default_config_text():
     """A config file with every key at its default, ready to edit."""
-    return (
-        "# fusiondepth training configuration\n"
-        "arch.levels = 5\n"
-        "arch.widths = 16, 32, 64, 128, 256\n"
-        "arch.kernel = 3\n"
-        "arch.reservation = 0.5\n"
-        "arch.coordconv = true\n"
-        "arch.fusion = true\n"
-        "arch.refinement = true\n"
-        "arch.d_max = 0.3\n"
-        "loss.alpha_ssim = 0.85\n"
-        "loss.smoothness = 0.1\n"
-        "loss.lr_consistency = 1.0\n"
-        "loss.occlusion = 0.01\n"
-        "loss.scale_factors = 1, 0.5, 0.25, 0.125\n"
-        "train.lr = 1e-4\n"
-        "train.beta1 = 0.9\n"
-        "train.beta2 = 0.999\n"
-        "train.eps = 1e-8\n"
-        "train.batch_size = 1\n"
-        "train.stage_epochs = 25, 5, 5\n"
-        "train.seed = 0\n"
-        "train.checkpoint_dir = checkpoints\n"
-        "data.dir = data\n"
-    )
+    cfg = TrainConfig(dataset_dir="data")
+    return "# fusiondepth training configuration\n" + format_config_lines(CONFIG_KEYS, cfg, cfg.arch, cfg.loss)

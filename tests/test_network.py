@@ -1,6 +1,9 @@
 """Structural tests for the pyramid network, fusion, coordconv, refinement,
 and the checkpoint format."""
 
+import math
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -266,10 +269,15 @@ class TestCheckpoint:
         after = loaded.forward(img)
         for ma, mb in zip(before.maps, after.maps):
             assert np.array_equal(ma.values, mb.values)
+        assert loaded.cfg == cfg
         return loaded
 
     def test_roundtrip_bit_exact(self, tmp_path):
         self.roundtrip(tmp_path, small_cfg())
+
+    @pytest.mark.parametrize("cfg", [small_cfg(d_max=0.2), nw.ArchConfig()], ids=["d_max", "default_arch"])
+    def test_roundtrip_stores_arch(self, tmp_path, cfg):
+        self.roundtrip(tmp_path, cfg)
 
     def test_roundtrip_infers_ablated_configs(self, tmp_path):
         loaded = self.roundtrip(tmp_path, small_cfg(fusion_enabled=False), tag="nofuse")
@@ -302,5 +310,56 @@ class TestCheckpoint:
         net = nw.DepthNet(small_cfg(), seed=0)
         path = tmp_path / "order.fdpt"
         nw.save_checkpoint(path, net)
-        state = nw.read_checkpoint(path)
+        _, state = nw.read_checkpoint(path)
         assert list(state) == [name for name, _ in net.parameters()]
+
+    @pytest.mark.parametrize("corrupt,match", [
+        pytest.param(lambda h, r: b"FDPT1" + r, "FDPT1 checkpoint carries no architecture header", id="fdpt1"),
+        pytest.param(lambda h, r: join(h, r)[:7], "truncated header length at byte 5", id="short_header_length"),
+        pytest.param(lambda h, r: nw.CHECKPOINT_MAGIC + struct.pack("<I", 1 << 20) + h + r,
+                     "header at byte 9 runs past end", id="header_past_end"),
+        pytest.param(lambda h, r: join(h + b"\xff\n", r), "header at byte 9: .*utf-8", id="header_not_utf8"),
+        pytest.param(lambda h, r: join(h + b"arch.depth = 2\n", r), "byte 9: .*unknown key 'arch.depth'",
+                     id="unknown_header_key"),
+        pytest.param(lambda h, r: join(h.replace(b"levels = 3", b"levels = three"), r),
+                     "byte 9: .*bad value for arch.levels", id="bad_header_value"),
+        pytest.param(lambda h, r: join(h.replace(b"kernel = 3", b"kernel = 4"), r),
+                     "byte 9: .*kernel size must be odd", id="invalid_arch"),
+        pytest.param(lambda h, r: join(h.replace(b"arch.d_max", b"# arch.d_max"), r),
+                     "byte 9: missing arch.d_max", id="missing_header_key"),
+        pytest.param(lambda h, r: join(h.replace(b"fusion = true", b"fusion = false"), r),
+                     "records do not match the stored architecture", id="header_disagrees_with_records"),
+        pytest.param(lambda h, r: join(h, r[:2] + b"\xff" * name_len(r) + r[2 + name_len(r):]),
+                     r"name at byte \d+ is not utf-8", id="name_not_utf8"),
+        pytest.param(lambda h, r: join(h, r[:2 + name_len(r)] + struct.pack("<4Q", 2**32, 2**32, 1, 1)
+                                       + r[34 + name_len(r):]),
+                     r"payload of 'encoder.1.conv1.weight' at byte \d+ runs past end", id="huge_extents"),
+        pytest.param(lambda h, r: join(h, r + r[:first_record_len(r)]),
+                     r"duplicate record 'encoder.1.conv1.weight' at byte \d+", id="duplicate_record"),
+    ])
+    def test_malformed_rejected_with_path_and_offset(self, tmp_path, corrupt, match):
+        path = tmp_path / "bad.fdpt"
+        nw.save_checkpoint(path, nw.DepthNet(small_cfg(), seed=0))
+        blob = path.read_bytes()
+        (hlen,) = struct.unpack_from("<I", blob, 5)
+        path.write_bytes(corrupt(blob[9:9 + hlen], blob[9 + hlen:]))
+        with pytest.raises(nw.CheckpointError, match=match) as info:
+            nw.load_checkpoint(path)
+        assert str(path) in str(info.value)
+
+
+# helpers over the two parts of a saved checkpoint after its magic and header
+# length: the header text h and the record bytes r
+
+
+def join(header, records):
+    return nw.CHECKPOINT_MAGIC + struct.pack("<I", len(header)) + header + records
+
+
+def name_len(records):
+    return struct.unpack_from("<H", records, 0)[0]
+
+
+def first_record_len(records):
+    shape = struct.unpack_from("<4Q", records, 2 + name_len(records))
+    return 34 + name_len(records) + 8 * math.prod(shape)

@@ -1,6 +1,7 @@
 """Optimizer arithmetic, staged schedule behavior, config parsing, CLI wiring."""
 
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -86,6 +87,13 @@ class TestParseConfig:
         path = tmp_path / "cfg.txt"
         path.write_text(tr.default_config_text())
         assert tr.parse_config(path) == tr.TrainConfig(dataset_dir="data")
+
+    def test_readme_block_matches_defaults(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Configuration", 1)[1].split("```\n")[1]
+        (tmp_path / "readme.cfg").write_text(block)
+        (tmp_path / "default.cfg").write_text(tr.default_config_text())
+        assert tr.parse_config(tmp_path / "readme.cfg") == tr.parse_config(tmp_path / "default.cfg")
 
     def test_full_override(self, tmp_path):
         path = tmp_path / "cfg.txt"
