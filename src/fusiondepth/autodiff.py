@@ -20,19 +20,8 @@ class FiniteError(ArithmeticError):
     """A NaN or infinity appeared in a value or gradient."""
 
 
-_finite_checks = True
-
-
-def set_finite_checks(enabled):
-    """Toggle NaN/inf screening on op outputs; returns the previous setting."""
-    global _finite_checks
-    previous = _finite_checks
-    _finite_checks = bool(enabled)
-    return previous
-
-
 def _check_finite(values, where):
-    if _finite_checks and not np.isfinite(values).all():
+    if not np.isfinite(values).all():
         raise FiniteError(f"non-finite values in {where}")
 
 

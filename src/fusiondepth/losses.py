@@ -176,7 +176,3 @@ def total_loss(left_set, right_set, sample, weights=None, active_scales=(0, 1, 2
 def disparity_to_depth(disp, baseline, focal):
     """depth = b*f / d for disparity in pixels, clamped at 1e-6 px."""
     return (baseline * focal) / ad.clamp(disp, DISP_EPS, np.inf)
-
-
-def depth_to_disparity(depth, baseline, focal):
-    return (baseline * focal) / ad.clamp(depth, DISP_EPS, np.inf)

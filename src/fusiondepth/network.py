@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import re
 import struct
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -74,6 +76,9 @@ ARCH_KEYS = {
 }
 
 
+_COMMENT = re.compile(r"(^|\s)#.*")
+
+
 def _parse_value(text, default):
     if isinstance(default, bool):
         lowered = text.lower()
@@ -98,14 +103,15 @@ def _format_value(value):
 
 
 def read_config_lines(lines, keys, where):
-    """Parse `key = value` lines (`#` starts a comment) against a key table.
+    """Parse `key = value` lines against a key table. A `#` at the start of a
+    line or after whitespace starts a comment; `runs#1` is a plain value.
 
     Returns {dataclass: {field: value}}; a key given twice keeps its last
     value. Errors are ConfigErrors naming `where` and the line number.
     """
     values = defaultdict(dict)
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.sub("", raw, count=1).strip()
         if not line:
             continue
         if "=" not in line:
@@ -123,10 +129,18 @@ def read_config_lines(lines, keys, where):
 
 
 def format_config_lines(keys, *objects):
-    """One `key = value` line per table row, read from the object of that row's dataclass."""
+    """One `key = value` line per table row, read from the object of that row's
+    dataclass. A string value that would not read back unchanged (edge
+    whitespace, a line break, a comment mark) is a ConfigError."""
     by_type = {type(obj): obj for obj in objects}
-    return "".join(f"{key} = {_format_value(getattr(by_type[cls], name))}\n"
-                   for key, (cls, name) in keys.items())
+    lines = []
+    for key, (cls, name) in keys.items():
+        value = getattr(by_type[cls], name)
+        if isinstance(value, str) and (value != value.strip() or len(value.splitlines()) > 1
+                                       or _COMMENT.search(value)):
+            raise ConfigError(f"{key}: {value!r} would not read back unchanged from a config line")
+        lines.append(f"{key} = {_format_value(value)}\n")
+    return "".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -174,30 +188,25 @@ def coordconv_augment(feature, principal_point=None):
 
 
 class Conv:
-    """A conv2d layer owning weight and bias leaves.
+    """A conv2d layer whose weight and bias leaves enter the net's parameter table.
 
-    Weights are uniform with bound sqrt(6/fan_in), which keeps activation
-    variance roughly level through the ELU stack; biases get the usual
-    1/sqrt(fan_in) bound.
+    Fresh weights are uniform with bound sqrt(6/fan_in), which keeps
+    activation variance roughly level through the ELU stack; biases get the
+    usual 1/sqrt(fan_in) bound.
     """
 
-    def __init__(self, rng, name, in_ch, out_ch, kernel, stride=1):
+    def __init__(self, net, name, in_ch, out_ch, kernel, stride=1):
         fan_in = in_ch * kernel * kernel
         bound = np.sqrt(6.0 / fan_in)
         self.name = name
         self.stride = stride
-        self.weight = ad.Tensor(
-            rng.uniform(-bound, bound, size=(out_ch, in_ch, kernel, kernel)), requires_grad=True
-        )
-        self.bias = ad.Tensor(
-            rng.uniform(-1.0, 1.0, size=(1, out_ch, 1, 1)) / np.sqrt(fan_in), requires_grad=True
-        )
+        self.weight = net.leaf(f"{name}.weight", (out_ch, in_ch, kernel, kernel),
+                               lambda rng, shape: rng.uniform(-bound, bound, size=shape))
+        self.bias = net.leaf(f"{name}.bias", (1, out_ch, 1, 1),
+                             lambda rng, shape: rng.uniform(-1.0, 1.0, size=shape) / np.sqrt(fan_in))
 
     def __call__(self, x):
         return ad.conv2d(x, self.weight, self.bias, stride=self.stride)
-
-    def parameters(self):
-        return [(self.name + ".weight", self.weight), (self.name + ".bias", self.bias)]
 
 
 def fusion_members(p, num_levels):
@@ -222,7 +231,7 @@ def channel_budgets(width, ratio, n_neighbors):
 class FusionBlock:
     """Eq-style neighbourhood fusion producing the decoder feature at level p."""
 
-    def __init__(self, rng, cfg, p, in_widths):
+    def __init__(self, net, cfg, p, in_widths):
         # in_widths[i-1] = channel count of the (possibly augmented) level-i input
         self.level = p
         self.cfg = cfg
@@ -240,16 +249,16 @@ class FusionBlock:
             for i in self.members:
                 cin = in_widths[i - 1]
                 if i == p - 1:
-                    self.proj_down = Conv(rng, f"{name}.proj_down", cin, per, k, stride=2)
+                    self.proj_down = Conv(net, f"{name}.proj_down", cin, per, k, stride=2)
                 elif i == p:
-                    self.proj_same = Conv(rng, f"{name}.proj_same", cin, same, 1)
+                    self.proj_same = Conv(net, f"{name}.proj_same", cin, same, 1)
                 else:
-                    self.proj_up = Conv(rng, f"{name}.proj_up", cin, per, 1)
-            self.conv = Conv(rng, f"{name}.conv", w_p, w_p, k)
+                    self.proj_up = Conv(net, f"{name}.proj_up", cin, per, 1)
+            self.conv = Conv(net, f"{name}.conv", w_p, w_p, k)
         else:
             self.members = [p]
             self.proj_down = self.proj_same = self.proj_up = None
-            self.conv = Conv(rng, f"{name}.conv", in_widths[p - 1], w_p, k)
+            self.conv = Conv(net, f"{name}.conv", in_widths[p - 1], w_p, k)
 
     def __call__(self, inputs):
         """inputs: list of per-level tensors, index i-1 = level i."""
@@ -267,14 +276,6 @@ class FusionBlock:
                 parts.append(ad.elu(self.proj_up(ad.upsample_nearest(feature, 2))))
         return ad.elu(self.conv(ad.concat_channels(parts)))
 
-    def parameters(self):
-        out = []
-        for layer in (self.proj_down, self.proj_same, self.proj_up):
-            if layer is not None:
-                out.extend(layer.parameters())
-        out.extend(self.conv.parameters())
-        return out
-
 
 class RefineModule:
     """Residual sub-pixel refinement from scale s+1 to scale s.
@@ -289,19 +290,22 @@ class RefineModule:
 
     LOGIT_MARGIN = 1e-12
 
-    def __init__(self, rng, name, in_ch, kernel):
+    def __init__(self, net, name, in_ch, kernel):
         self.name = name
-        self.sr = Conv(rng, f"{name}.sr", 1, 4, kernel)
-        self.res1 = Conv(rng, f"{name}.res1", in_ch, 32, kernel)
-        self.res2 = Conv(rng, f"{name}.res2", 32, 32, kernel)
-        self.res3 = Conv(rng, f"{name}.res3", 32, 16, kernel)
-        self.res4 = Conv(rng, f"{name}.res4", 16, 4, kernel)
-        self.post1 = Conv(rng, f"{name}.post1", 1, 16, kernel)
-        self.post2 = Conv(rng, f"{name}.post2", 16, 1, kernel)
-        # start the cascade at the identity: sr taps the center (shuffle then
-        # reduces to nearest upsampling) and both correction tails emit zero
+        self.sr = Conv(net, f"{name}.sr", 1, 4, kernel)
+        self.res1 = Conv(net, f"{name}.res1", in_ch, 32, kernel)
+        self.res2 = Conv(net, f"{name}.res2", 32, 32, kernel)
+        self.res3 = Conv(net, f"{name}.res3", 32, 16, kernel)
+        self.res4 = Conv(net, f"{name}.res4", 16, 4, kernel)
+        self.post1 = Conv(net, f"{name}.post1", 1, 16, kernel)
+        self.post2 = Conv(net, f"{name}.post2", 16, 1, kernel)
+
+    def start_at_identity(self):
+        """Set a fresh module to the identity: sr taps the center (shuffle then
+        reduces to nearest upsampling) and both correction tails emit zero."""
+        center = self.sr.weight.shape[2] // 2
         self.sr.weight.values[:] = 0.0
-        self.sr.weight.values[:, 0, kernel // 2, kernel // 2] = 1.0
+        self.sr.weight.values[:, 0, center, center] = 1.0
         self.sr.bias.values[:] = 0.0
         for tail in (self.res4, self.post2):
             tail.weight.values[:] = 0.0
@@ -327,12 +331,6 @@ class RefineModule:
         refined = ad.add(merged, self.post2(ad.elu(self.post1(merged))))
         return ad.scale(ad.sigmoid(refined), d_max)
 
-    def parameters(self):
-        out = []
-        for layer in (self.sr, self.res1, self.res2, self.res3, self.res4, self.post1, self.post2):
-            out.extend(layer.parameters())
-        return out
-
 
 @dataclass
 class DisparitySet:
@@ -351,11 +349,18 @@ class DisparitySet:
 
 
 class DepthNet:
-    """Full pipeline: encode, coordconv, fuse, decode, refine."""
+    """Full pipeline: encode, coordconv, fuse, decode, refine.
 
-    def __init__(self, cfg: ArchConfig, seed=0, _rng=None):
+    Building the net fills its parameter table in construction order: a fresh
+    net draws each leaf from `seed`; given `state` ({name: array}, as
+    `read_checkpoint` returns), each leaf takes its record's array instead.
+    """
+
+    def __init__(self, cfg: ArchConfig, seed=0, state=None):
         self.cfg = cfg
-        rng = np.random.default_rng(seed) if _rng is None else _rng
+        self._params = []
+        self._state = state
+        self._random = np.random.default_rng(seed) if state is None else None
         L = cfg.num_levels
         k = cfg.kernel_size
         extra = 3 if cfg.coordconv_enabled else 0
@@ -365,12 +370,12 @@ class DepthNet:
         for p in range(1, L + 1):
             w = cfg.widths[p - 1]
             self.encoder.append(
-                (Conv(rng, f"encoder.{p}.conv1", prev, w, k, stride=2), Conv(rng, f"encoder.{p}.conv2", w, w, k))
+                (Conv(self, f"encoder.{p}.conv1", prev, w, k, stride=2), Conv(self, f"encoder.{p}.conv2", w, w, k))
             )
             prev = w
 
         aug_widths = [w + extra for w in cfg.widths]
-        self.fusion = [FusionBlock(rng, cfg, p, aug_widths) for p in range(1, L + 1)]
+        self.fusion = [FusionBlock(self, cfg, p, aug_widths) for p in range(1, L + 1)]
 
         # decoder stage p consumes upsampled level-(p+1) stream + augmented
         # fused skip at level p; stage 0 has no skip. With refinement on,
@@ -384,18 +389,45 @@ class DepthNet:
             else:
                 cin = cfg.widths[0]
                 cout = cfg.widths[0]
-            self.decoder[p] = Conv(rng, f"decoder.{p}.conv", cin, cout, k)
+            self.decoder[p] = Conv(self, f"decoder.{p}.conv", cin, cout, k)
 
         feat_width = lambda level: cfg.widths[max(level, 1) - 1]
         self.heads = {}
         self.refine = {}
         if cfg.refinement_enabled:
-            self.heads[3] = Conv(rng, "head.3.conv", feat_width(3), 1, k)
+            self.heads[3] = Conv(self, "head.3.conv", feat_width(3), 1, k)
             for s in (2, 1, 0):
-                self.refine[s] = RefineModule(rng, f"refine.{s}", feat_width(s + 1), k)
+                self.refine[s] = RefineModule(self, f"refine.{s}", feat_width(s + 1), k)
         else:
             for s in (3, 2, 1, 0):
-                self.heads[s] = Conv(rng, f"head.{s}.conv", feat_width(s), 1, k)
+                self.heads[s] = Conv(self, f"head.{s}.conv", feat_width(s), 1, k)
+
+        if state is None:
+            for module in self.refine.values():
+                module.start_at_identity()
+        elif len(state) > len(self._params):  # every leaf found its record, so the rest are extra
+            names = {name for name, _ in self._params}
+            raise ConfigError(f"unexpected record {next(n for n in state if n not in names)!r}")
+        del self._state, self._random
+
+    def leaf(self, name, shape, draw):
+        """A trainable leaf appended to the parameter table: the record `name`
+        of the loaded state, or `draw(rng, shape)` for a fresh net."""
+        if self._state is None:
+            values = draw(self._random, shape)
+        elif name not in self._state:
+            raise ConfigError(f"missing record {name!r}")
+        else:
+            values = self._state[name]
+            if values.shape != shape:
+                raise ConfigError(f"record {name!r} has shape {values.shape}, expected {shape}")
+        tensor = ad.Tensor(values, requires_grad=True)
+        self._params.append((name, tensor))
+        return tensor
+
+    def parameters(self):
+        """The (name, leaf) table in construction order."""
+        return list(self._params)
 
     # -- evaluation ----------------------------------------------------
 
@@ -453,44 +485,6 @@ class DepthNet:
             maps = [head_out(s) for s in (0, 1, 2, 3)]
         return DisparitySet(maps)
 
-    # -- parameters and persistence -------------------------------------
-
-    def parameters(self):
-        out = []
-        for conv1, conv2 in self.encoder:
-            out.extend(conv1.parameters())
-            out.extend(conv2.parameters())
-        for block in self.fusion:
-            out.extend(block.parameters())
-        for p in sorted(self.decoder, reverse=True):
-            out.extend(self.decoder[p].parameters())
-        for s in sorted(self.heads, reverse=True):
-            out.extend(self.heads[s].parameters())
-        for s in sorted(self.refine, reverse=True):
-            out.extend(self.refine[s].parameters())
-        return out
-
-    def state_dict(self):
-        return {name: t.values.copy() for name, t in self.parameters()}
-
-    def load_state_dict(self, state):
-        params = self.parameters()
-        names = [n for n, _ in params]
-        missing = [n for n in names if n not in state]
-        extra = [n for n in state if n not in names]
-        if missing or extra:
-            raise ConfigError(f"state mismatch: missing {missing[:3]}, unexpected {extra[:3]}")
-        for name, t in params:
-            if state[name].shape != t.values.shape:
-                raise ConfigError(
-                    f"{name}: stored shape {state[name].shape} != model shape {t.values.shape}"
-                )
-            t.values[...] = state[name]
-
-
-def count_parameters(net):
-    return sum(t.values.size for _, t in net.parameters())
-
 
 # ---------------------------------------------------------------------------
 # checkpoint format: b"FDPT2", a uint32 LE header length, the header (the
@@ -506,17 +500,25 @@ class CheckpointError(IOError):
 
 
 def save_checkpoint(path, net):
+    """Write through a sibling temp file and `os.replace`, so a failed save
+    leaves any earlier checkpoint at `path` intact."""
     header = format_config_lines(ARCH_KEYS, net.cfg).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<I", len(header)))
-        f.write(header)
-        for name, t in net.parameters():
-            encoded = name.encode("utf-8")
-            f.write(struct.pack("<H", len(encoded)))
-            f.write(encoded)
-            f.write(struct.pack("<4Q", *t.values.shape))
-            f.write(t.values.astype("<f8", copy=False).tobytes())
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(CHECKPOINT_MAGIC)
+            f.write(struct.pack("<I", len(header)))
+            f.write(header)
+            for name, t in net.parameters():
+                encoded = name.encode("utf-8")
+                f.write(struct.pack("<H", len(encoded)))
+                f.write(encoded)
+                f.write(struct.pack("<4Q", *t.values.shape))
+                f.write(t.values.astype("<f8", copy=False).tobytes())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _read_header(path, blob):
@@ -577,12 +579,10 @@ def read_checkpoint(path):
 
 
 def load_checkpoint(path):
-    """Rebuild a network from a checkpoint alone: the architecture its header
-    stores, then the weights of its records."""
+    """Rebuild a network from a checkpoint alone: the net its header's
+    architecture describes, each leaf taking its record's values as it is built."""
     cfg, state = read_checkpoint(path)
-    net = DepthNet(cfg, seed=0)
     try:
-        net.load_state_dict(state)
+        return DepthNet(cfg, state=state)
     except ConfigError as e:
         raise CheckpointError(f"{path}: records do not match the stored architecture: {e}") from None
-    return net

@@ -54,10 +54,10 @@ def stage_plan(stage_epochs):
 
 
 class Adam:
-    """Bias-corrected Adam over a fixed parameter list."""
+    """Bias-corrected Adam over a fixed list of leaf tensors."""
 
-    def __init__(self, params, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.tensors = [p if isinstance(p, ad.Tensor) else p[1] for p in params]
+    def __init__(self, tensors, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.tensors = list(tensors)
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
@@ -119,7 +119,7 @@ def run_schedule(cfg: TrainConfig, log=None):
     os.makedirs(cfg.checkpoint_dir, exist_ok=True)
 
     net = DepthNet(cfg.arch, seed=cfg.seed)
-    opt = Adam(net.parameters(), cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
+    opt = Adam([t for _, t in net.parameters()], cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
     rng = np.random.default_rng(cfg.seed)
 
     log_path = os.path.join(cfg.checkpoint_dir, "train_log.csv")

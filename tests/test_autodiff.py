@@ -32,14 +32,6 @@ class TestTensorBasics:
         with pytest.raises(ad.FiniteError):
             ad.log(bad)
 
-    def test_finite_checks_can_be_disabled(self):
-        prev = ad.set_finite_checks(False)
-        try:
-            out = ad.log(ad.scalar(-1.0))
-            assert np.isnan(out.values).all()
-        finally:
-            ad.set_finite_checks(prev)
-
 
 class TestConv2d:
     def test_all_ones_center_is_nine(self):

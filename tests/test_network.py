@@ -2,6 +2,7 @@
 and the checkpoint format."""
 
 import math
+import os
 import struct
 
 import numpy as np
@@ -252,11 +253,6 @@ class TestParameterAudit:
         expected_prefixes = ("refine.", "head.0.", "head.1.", "head.2.", "decoder.0.")
         assert delta and all(n.startswith(expected_prefixes) for n in delta)
 
-    def test_count_parameters_matches_manual_sum(self):
-        net = nw.DepthNet(small_cfg(), seed=0)
-        manual = sum(t.values.size for _, t in net.parameters())
-        assert nw.count_parameters(net) == manual > 0
-
 
 class TestCheckpoint:
     def roundtrip(self, tmp_path, cfg, tag="net"):
@@ -290,6 +286,33 @@ class TestCheckpoint:
     def test_roundtrip_nondefault_reservation(self, tmp_path):
         loaded = self.roundtrip(tmp_path, small_cfg(widths=(16, 32, 64), reservation=0.4), tag="res")
         assert loaded.cfg.fusion_enabled
+
+    def test_load_keeps_every_record(self, tmp_path):
+        # trained-like weights: the refinement modules no longer sit at the identity
+        net = nw.DepthNet(small_cfg(), seed=5)
+        rng = np.random.default_rng(1)
+        for _, t in net.parameters():
+            t.values += rng.normal(0.0, 0.1, t.shape)
+        path = tmp_path / "moved.fdpt"
+        nw.save_checkpoint(path, net)
+        loaded = nw.load_checkpoint(path)
+        assert [n for n, _ in loaded.parameters()] == [n for n, _ in net.parameters()]
+        for (_, a), (_, b) in zip(net.parameters(), loaded.parameters()):
+            assert np.array_equal(a.values, b.values)
+
+    def test_failed_save_keeps_earlier_checkpoint(self, tmp_path):
+        path = tmp_path / "net.fdpt"
+        net = nw.DepthNet(small_cfg(), seed=0)
+        nw.save_checkpoint(path, net)
+        before = path.read_bytes()
+        broken = nw.DepthNet(small_cfg(), seed=1)
+        broken.parameters()[-1][1].values = None  # fails after every other record is written
+        with pytest.raises(AttributeError):
+            nw.save_checkpoint(path, broken)
+        assert os.listdir(tmp_path) == ["net.fdpt"]
+        assert path.read_bytes() == before
+        for (_, a), (_, b) in zip(net.parameters(), nw.load_checkpoint(path).parameters()):
+            assert np.array_equal(a.values, b.values)
 
     def test_magic_checked(self, tmp_path):
         path = tmp_path / "bad.fdpt"
@@ -336,6 +359,15 @@ class TestCheckpoint:
                      r"payload of 'encoder.1.conv1.weight' at byte \d+ runs past end", id="huge_extents"),
         pytest.param(lambda h, r: join(h, r + r[:first_record_len(r)]),
                      r"duplicate record 'encoder.1.conv1.weight' at byte \d+", id="duplicate_record"),
+        pytest.param(lambda h, r: join(h, r[first_record_len(r):]),
+                     "missing record 'encoder.1.conv1.weight'", id="missing_record"),
+        pytest.param(lambda h, r: join(h, r + struct.pack("<H", 5) + b"extra" + struct.pack("<4Q", 1, 1, 1, 1)
+                                       + bytes(8)),
+                     "unexpected record 'extra'", id="unexpected_record"),
+        pytest.param(lambda h, r: join(h, r[:2 + name_len(r)] + struct.pack("<4Q", 3, 4, 3, 3)
+                                       + r[34 + name_len(r):]),
+                     r"record 'encoder.1.conv1.weight' has shape \(3, 4, 3, 3\), expected \(4, 3, 3, 3\)",
+                     id="misshapen_record"),
     ])
     def test_malformed_rejected_with_path_and_offset(self, tmp_path, corrupt, match):
         path = tmp_path / "bad.fdpt"

@@ -62,11 +62,6 @@ class TestAdam:
             runs.append(p.values.copy())
         assert np.array_equal(runs[0], runs[1])
 
-    def test_accepts_named_parameters(self):
-        p = leaf(1.0)
-        opt = tr.Adam([("w", p)])
-        assert opt.tensors == [p]
-
 
 class TestStagePlan:
     def test_three_stages(self):
@@ -129,6 +124,20 @@ class TestParseConfig:
         path = tmp_path / "cfg.txt"
         path.write_text("# top\n\ntrain.lr = 0.01\n  # indented comment\n")
         assert tr.parse_config(path).lr == 0.01
+
+    def test_hash_inside_a_value_is_kept(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_text("train.checkpoint_dir = runs#1  # trailing comment\ndata.dir = a#b\t# after a tab\n")
+        cfg = tr.parse_config(path)
+        assert cfg.checkpoint_dir == "runs#1" and cfg.dataset_dir == "a#b"
+        path.write_text(tr.format_config_lines(tr.CONFIG_KEYS, cfg, cfg.arch, cfg.loss))
+        assert tr.parse_config(path) == cfg
+
+    @pytest.mark.parametrize("value", ["runs #1", "#runs", " runs", "runs\t", "a\nb"])
+    def test_unreadable_string_value_rejected_on_format(self, value):
+        cfg = tr.TrainConfig(checkpoint_dir=value)
+        with pytest.raises(tr.ConfigError, match="train.checkpoint_dir"):
+            tr.format_config_lines(tr.CONFIG_KEYS, cfg, cfg.arch, cfg.loss)
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.txt"
