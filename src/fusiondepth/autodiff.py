@@ -481,10 +481,13 @@ def conv2d(x, weight, bias=None, stride=1, padding=None):
         weight: filters (O, C, k, k), k odd.
         bias: optional (1, O, 1, 1), added per output channel.
         stride: 1 or 2.
-        padding: zero-pad width per border; defaults to k // 2.
+        padding: zero-pad width per border, >= 0; defaults to k // 2.
 
-    Output spatial extents follow (H + 2p - k) // stride + 1. The lowered
-    im2col matrix is captured by the closure so backward reuses it.
+    Output spatial extents follow (H + 2p - k) // stride + 1. The input is
+    lowered channel-major to cols (N, C*k*k, Ho*Wo), so `wmat @ cols` is
+    already the output in (N, O, Ho, Wo) order. The VJP closure keeps cols,
+    and wmat (O, C*k*k) as a view of the weight; for an unpadded stride-1
+    1x1 conv, cols is itself a view of x's values rather than a copy.
     """
     n, c, h, w = x.shape
     o, cw, kh, kw = weight.shape
@@ -498,6 +501,8 @@ def conv2d(x, weight, bias=None, stride=1, padding=None):
         raise ShapeError(f"bias must be (1, {o}, 1, 1), got {bias.shape}")
     k = kh
     p = k // 2 if padding is None else int(padding)
+    if p < 0:
+        raise ShapeError(f"padding must be >= 0, got {padding}")
     ho = (h + 2 * p - k) // stride + 1
     wo = (w + 2 * p - k) // stride + 1
     if ho < 1 or wo < 1:
@@ -505,28 +510,21 @@ def conv2d(x, weight, bias=None, stride=1, padding=None):
 
     padded = np.pad(x.values, ((0, 0), (0, 0), (p, p), (p, p))) if p else x.values
     windows = np.lib.stride_tricks.sliding_window_view(padded, (k, k), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride]
-    # (N, C, Ho, Wo, k, k) -> (N, Ho*Wo, C*k*k), one GEMM per batch stack
-    cols = np.ascontiguousarray(windows.transpose(0, 2, 3, 1, 4, 5)).reshape(n, ho * wo, c * k * k)
+    # (N, C, Ho, Wo, k, k) -> (N, C*k*k, Ho*Wo); the reshape does the copy
+    cols = windows[:, :, ::stride, ::stride].transpose(0, 1, 4, 5, 2, 3).reshape(n, c * k * k, ho * wo)
     wmat = weight.values.reshape(o, c * k * k)
-    out = np.matmul(cols, wmat.T).transpose(0, 2, 1).reshape(n, o, ho, wo)
+    out = np.matmul(wmat, cols).reshape(n, o, ho, wo)
     if bias is not None:
-        out = out + bias.values
-
-    ph, pw = h + 2 * p, w + 2 * p
+        out += bias.values
 
     def vjp(g):
-        gmat = g.transpose(0, 2, 3, 1).reshape(n, ho * wo, o)
-        gw = np.matmul(
-            gmat.reshape(n * ho * wo, o).T, cols.reshape(n * ho * wo, c * k * k)
-        ).reshape(o, c, k, k)
-        gcols = np.matmul(gmat, wmat).reshape(n, ho, wo, c, k, k)
-        gpad = np.zeros((n, c, ph, pw), dtype=np.float64)
+        gmat = g.reshape(n, o, ho * wo)
+        gw = np.tensordot(gmat, cols, axes=([0, 2], [0, 2])).reshape(o, c, k, k)
+        gcols = np.matmul(wmat.T, gmat).reshape(n, c, k, k, ho, wo)
+        gpad = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=np.float64)
         for ki in range(k):
             for kj in range(k):
-                gpad[:, :, ki:ki + stride * ho:stride, kj:kj + stride * wo:stride] += (
-                    gcols[:, :, :, :, ki, kj].transpose(0, 3, 1, 2)
-                )
+                gpad[:, :, ki:ki + stride * ho:stride, kj:kj + stride * wo:stride] += gcols[:, :, ki, kj]
         gx = gpad[:, :, p:p + h, p:p + w] if p else gpad
         if bias is None:
             return gx, gw

@@ -257,11 +257,11 @@ def read_manifest(directory):
         raise FileNotFoundError(f"no manifest.txt in {directory}; run gen-data first")
     baseline = focal = None
     indices = []
-    with open(path) as f:
-        for raw in f:
-            line = raw.strip()
-            if not line:
-                continue
+    with open(path, "rb") as f:
+        lines = f.read().splitlines()
+    for lineno, raw in enumerate(lines, 1):
+        try:
+            line = raw.decode("utf-8").strip()
             if "=" in line:
                 key, value = line.split("=", 1)
                 if key == "baseline":
@@ -270,8 +270,10 @@ def read_manifest(directory):
                     focal = float(value)
                 else:
                     raise SceneError(f"unknown manifest key {key!r}")
-            else:
+            elif line:
                 indices.append(line)
+        except ValueError as e:  # bad float, bad utf-8 and unknown keys alike
+            raise SceneError(f"{path}:{lineno}: {e}") from None
     if baseline is None or focal is None:
         raise SceneError(f"{path} is missing baseline=/focal= lines")
     return baseline, focal, indices

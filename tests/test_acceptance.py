@@ -1,7 +1,9 @@
 """Acceptance gate. One test per criterion; each prints a PASS/FAIL line.
 
 The recovery fixture trains the full default configuration once (minutes);
-run this module alone with `pytest tests/test_acceptance.py -v`.
+run this module alone with `pytest tests/test_acceptance.py -v`. The two
+criteria that use it are marked `slow`, so `pytest -m "not slow"` skips the
+training.
 """
 
 import os
@@ -207,6 +209,7 @@ def disparity_mae(net, data_dir):
     return num / den
 
 
+@pytest.mark.slow
 def test_criterion_3(recovery):
     mae = disparity_mae(recovery.net, recovery.data)
     rows = [line.split(",") for line in open(recovery.log).read().splitlines()[1:]]
@@ -269,6 +272,7 @@ def valid_report_lines(text, n_samples):
     return lines
 
 
+@pytest.mark.slow
 def test_criterion_5(recovery, tmp_path, capsys):
     details = []
     for flag in ("--no-fusion", "--no-coordconv"):

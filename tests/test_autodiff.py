@@ -69,6 +69,82 @@ class TestConv2d:
 
         check_gradients(build, [x, w, b], tol=1e-4)
 
+    def test_negative_padding_rejected(self):
+        with pytest.raises(ad.ShapeError, match="padding must be >= 0, got -1"):
+            ad.conv2d(ad.zeros((1, 1, 4, 4)), ad.zeros((1, 1, 3, 3)), padding=-1)
+
+
+def direct_conv(x, w, b, g, stride, padding):
+    """Loop-over-outputs reference conv: returns (out, gx, gw, gb) for upstream gradient g."""
+    n, c, h, wd = x.shape
+    o, _, k, _ = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    ho, wo = g.shape[2:]
+    out = np.empty((n, o, ho, wo))
+    gxp = np.zeros_like(xp)
+    gw = np.zeros_like(w)
+    for ni in range(n):
+        for oi in range(o):
+            for i in range(ho):
+                for j in range(wo):
+                    rows = slice(i * stride, i * stride + k)
+                    cols = slice(j * stride, j * stride + k)
+                    out[ni, oi, i, j] = np.sum(xp[ni, :, rows, cols] * w[oi]) + b[0, oi, 0, 0]
+                    gw[oi] += g[ni, oi, i, j] * xp[ni, :, rows, cols]
+                    gxp[ni, :, rows, cols] += g[ni, oi, i, j] * w[oi]
+    gx = gxp[:, :, padding:padding + h, padding:padding + wd]
+    return out, gx, gw, g.sum(axis=(0, 2, 3)).reshape(1, o, 1, 1)
+
+
+class TestConv2dOracle:
+    """Batched, non-square and padded cases against the direct loop sum."""
+
+    CASES = sorted({(n, hw, k, stride, padding)
+                    for n in (1, 2) for hw in ((7, 5), (6, 8)) for k in (1, 3, 5)
+                    for stride in (1, 2) for padding in (0, k // 2, 2)})
+
+    @pytest.mark.parametrize("n, hw, k, stride, padding", CASES)
+    def test_forward_and_vjp_match_loops(self, n, hw, k, stride, padding):
+        rng = np.random.default_rng(k * 100 + stride * 10 + padding)
+        x = rng.uniform(-1, 1, size=(n, 2, *hw))
+        w = rng.uniform(-1, 1, size=(3, 2, k, k))
+        b = rng.uniform(-1, 1, size=(1, 3, 1, 1))
+        out = ad.conv2d(ad.Tensor(x, requires_grad=True), ad.Tensor(w), ad.Tensor(b), stride, padding)
+        g = rng.uniform(-1, 1, size=out.shape)
+        want = direct_conv(x, w, b, g, stride, padding)
+        assert out.shape == want[0].shape
+        for got, ref in zip((out.values, *out._vjp(g)), want):
+            assert np.abs(got - ref).max() < 1e-12
+
+    @pytest.mark.parametrize("k, stride, padding", [(3, 1, 1), (3, 2, 2), (5, 2, 0)])
+    def test_batched_gradients(self, k, stride, padding):
+        rng = np.random.default_rng(k + stride + padding)
+        x = rand(rng, (2, 2, 7, 6))
+        w = rand(rng, (3, 2, k, k))
+        b = rand(rng, (1, 3, 1, 1))
+        ho, wo = (7 + 2 * padding - k) // stride + 1, (6 + 2 * padding - k) // stride + 1
+        proj = ad.Tensor(rng.uniform(-1, 1, size=(2, 3, ho, wo)))
+
+        def build():
+            return ad.reduce_mean(ad.mul(ad.conv2d(x, w, b, stride, padding), proj))
+
+        check_gradients(build, [x, w, b], tol=1e-4)
+
+    def test_batch_equals_single_images(self):
+        rng = np.random.default_rng(7)
+        x = rng.uniform(-1, 1, size=(2, 4, 6, 8))
+        w = ad.Tensor(rng.uniform(-1, 1, size=(5, 4, 3, 3)))
+        b = ad.Tensor(rng.uniform(-1, 1, size=(1, 5, 1, 1)))
+        both = ad.conv2d(ad.Tensor(x, requires_grad=True), w, b, stride=2)
+        g = rng.uniform(-1, 1, size=both.shape)
+        gx, gw, gb = both._vjp(g)
+        singles = [ad.conv2d(ad.Tensor(x[i:i + 1], requires_grad=True), w, b, stride=2) for i in (0, 1)]
+        grads = [s._vjp(g[i:i + 1]) for i, s in enumerate(singles)]
+        assert np.array_equal(both.values, np.concatenate([s.values for s in singles]))
+        assert np.array_equal(gx, np.concatenate([gr[0] for gr in grads]))
+        assert np.abs(gw - grads[0][1] - grads[1][1]).max() < 1e-12
+        assert np.abs(gb - grads[0][2] - grads[1][2]).max() < 1e-12
+
 
 class TestElementwise:
     def test_sigmoid_at_zero(self):

@@ -1,5 +1,7 @@
 """Scene generator and NetPBM round trips: exact ground truth is the whole point."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -245,6 +247,17 @@ class TestDataset:
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="gen-data"):
+            read_manifest(tmp_path)
+
+    @pytest.mark.parametrize("content, lineno, reason", [
+        (b"000000\nbaseline=abc\nfocal=480\n", 2, "could not convert"),
+        (b"baseline=0.5\nfocal=480\n\xff\xfe00\n", 3, "utf-8"),
+        (b"baseline=0.5\nfocal=480\ncolor=red\n", 3, "unknown manifest key"),
+    ])
+    def test_malformed_manifest_names_line(self, tmp_path, content, lineno, reason):
+        (tmp_path / "manifest.txt").write_bytes(content)
+        where = f"{tmp_path / 'manifest.txt'}:{lineno}: "
+        with pytest.raises(SceneError, match=re.escape(where) + f".*{reason}"):
             read_manifest(tmp_path)
 
     def test_mixed_calibration_rejected(self, tmp_path):
