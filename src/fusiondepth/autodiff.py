@@ -93,9 +93,6 @@ class Tensor:
             return scale(self, 1.0 / float(other))
         return div(self, other)
 
-    def __rtruediv__(self, other):
-        return div(scalar(float(other)), self)
-
     def __neg__(self):
         return scale(self, -1.0)
 

@@ -11,7 +11,6 @@ import numpy as np
 from . import autodiff as ad
 from . import metrics as me
 from . import netpbm, scenes
-from .losses import disparity_to_depth
 from .network import load_checkpoint
 from .training import parse_config, run_schedule
 
@@ -61,8 +60,8 @@ def _cmd_eval(args):
         gt = sample.gt_disparity.values[0, 0]
         mask = gt > 0
         d1 = me.compute_d1(disp, gt, mask)
-        pred_depth = disparity_to_depth(ad.Tensor(disp[None, None]), baseline, focal).values[0, 0]
-        gt_depth = disparity_to_depth(sample.gt_disparity, baseline, focal).values[0, 0]
+        pred_depth = me.disparity_to_depth(disp, baseline, focal)
+        gt_depth = me.disparity_to_depth(gt, baseline, focal)
         row = me.compute_metrics(pred_depth, gt_depth, mask, cap=args.cap)
         row.d1_all = d1
         rows.append(row)
@@ -76,7 +75,7 @@ def _cmd_predict(args):
     disp = _disparity_px(net, image, args.pp)
     if args.depth:
         baseline, focal, _ = scenes.read_manifest(os.path.dirname(os.path.abspath(args.image)))
-        out_map = disparity_to_depth(ad.Tensor(disp[None, None]), baseline, focal).values[0, 0]
+        out_map = me.disparity_to_depth(disp, baseline, focal)
     else:
         out_map = disp
     netpbm.write_pgm16(args.out, out_map)

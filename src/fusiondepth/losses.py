@@ -4,20 +4,18 @@ All terms are built from engine ops so gradients reach the network: SSIM+L1
 appearance matching against bilinear reconstructions, edge-aware disparity
 smoothness, left-right disparity consistency, and occlusion regularization,
 combined over 4 scales with geometric per-scale factors. Disparities are in
-normalized-width units throughout; depth conversion expects pixels.
+normalized-width units throughout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import autodiff as ad
+from .network import ConfigError
 
 SSIM_C1 = 0.01 ** 2
 SSIM_C2 = 0.03 ** 2
-DISP_EPS = 1e-6
 
 
 @dataclass
@@ -40,21 +38,26 @@ class StereoSample:
 
 @dataclass
 class LossWeights:
+    """Term weights and per-scale factors; a weight or factor of 0 leaves
+    that term or scale out of the graph."""
+
     alpha_ssim: float = 0.85
     smoothness: float = 0.1
     lr_consistency: float = 1.0
     occlusion: float = 0.01
     scale_factors: tuple = (1.0, 0.5, 0.25, 0.125)
 
-
-@dataclass
-class LossTerms:
-    """Term toggles; the fine-tune stage drops smoothness and occlusion."""
-
-    appearance: bool = True
-    smoothness: bool = True
-    lr_consistency: bool = True
-    occlusion: bool = True
+    def __post_init__(self):
+        self.scale_factors = tuple(float(f) for f in self.scale_factors)
+        if len(self.scale_factors) != 4:
+            raise ConfigError(f"need 4 scale factors, got {len(self.scale_factors)}")
+        for name in ("smoothness", "lr_consistency", "occlusion"):
+            if not getattr(self, name) >= 0.0:
+                raise ConfigError(f"{name} weight must be >= 0, got {getattr(self, name)}")
+        if not all(f >= 0.0 for f in self.scale_factors):
+            raise ConfigError(f"scale factors must be >= 0, got {self.scale_factors}")
+        if not 0.0 <= self.alpha_ssim <= 1.0:
+            raise ConfigError(f"alpha_ssim must lie in [0, 1], got {self.alpha_ssim}")
 
 
 def reconstruct(source, disparity, direction):
@@ -132,47 +135,30 @@ def image_pyramid(image, scales=4):
     return out
 
 
-def total_loss(left_set, right_set, sample, weights=None, active_scales=(0, 1, 2, 3), terms=None):
-    """Staged objective: sum over active scales of
+def total_loss(left_set, right_set, sample, weights=None):
+    """Sum over scales of
     factor_s * (appearance + w_sm*smoothness + w_lr*consistency + w_occ*occlusion),
-    each term averaged over the two eyes."""
-    scales = sorted(set(active_scales))
-    if not scales:
-        raise ValueError("at least one scale must be active")
-    if any(s not in (0, 1, 2, 3) for s in scales):
-        raise ValueError(f"scales must come from 0..3, got {active_scales}")
+    each term averaged over the two eyes. A scale or term whose weight is 0 is
+    not built; appearance has no weight and is always built."""
     weights = weights if weights is not None else LossWeights()
-    terms = terms if terms is not None else LossTerms()
-
     left_images = image_pyramid(sample.left)
     right_images = image_pyramid(sample.right)
-    total = None
-    for s in scales:
+    per_scale = []
+    for s, factor in enumerate(weights.scale_factors):
+        if not factor:
+            continue
         d_l, d_r = left_set.maps[s], right_set.maps[s]
         i_l, i_r = left_images[s], right_images[s]
-        acc = None
-        if terms.appearance:
-            app_l = appearance_loss(i_l, reconstruct(i_r, d_l, "left"), weights)
-            app_r = appearance_loss(i_r, reconstruct(i_l, d_r, "right"), weights)
-            acc = (app_l + app_r) * 0.5
-        if terms.smoothness:
+        app_l = appearance_loss(i_l, reconstruct(i_r, d_l, "left"), weights)
+        app_r = appearance_loss(i_r, reconstruct(i_l, d_r, "right"), weights)
+        terms = [(app_l + app_r) * 0.5]
+        if weights.smoothness:
             sm = (smoothness_loss(d_l, i_l) + smoothness_loss(d_r, i_r)) * 0.5
-            piece = sm * weights.smoothness
-            acc = piece if acc is None else acc + piece
-        if terms.lr_consistency:
-            piece = lr_consistency_loss(d_l, d_r) * weights.lr_consistency
-            acc = piece if acc is None else acc + piece
-        if terms.occlusion:
+            terms.append(sm * weights.smoothness)
+        if weights.lr_consistency:
+            terms.append(lr_consistency_loss(d_l, d_r) * weights.lr_consistency)
+        if weights.occlusion:
             occ = (occlusion_reg(d_l) + occlusion_reg(d_r)) * 0.5
-            piece = occ * weights.occlusion
-            acc = piece if acc is None else acc + piece
-        if acc is None:
-            continue
-        piece = acc * weights.scale_factors[s]
-        total = piece if total is None else total + piece
-    return total if total is not None else ad.scalar(0.0)
-
-
-def disparity_to_depth(disp, baseline, focal):
-    """depth = b*f / d for disparity in pixels, clamped at 1e-6 px."""
-    return (baseline * focal) / ad.clamp(disp, DISP_EPS, np.inf)
+            terms.append(occ * weights.occlusion)
+        per_scale.append(sum(terms[1:], terms[0]) * factor)
+    return sum(per_scale[1:], per_scale[0]) if per_scale else ad.scalar(0.0)

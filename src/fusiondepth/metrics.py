@@ -12,6 +12,7 @@ import numpy as np
 
 MIN_DEPTH = 1e-3
 DEPTH_CAP = 80.0
+DISP_EPS = 1e-6
 CSV_COLUMNS = "abs_rel,sq_rel,rmse,rmse_log,d1_all,delta1,delta2,delta3"
 
 
@@ -34,10 +35,15 @@ def _as_array(x):
     return np.asarray(getattr(x, "values", x), dtype=np.float64)
 
 
-def compute_metrics(pred_depth, gt_depth, mask, cap=DEPTH_CAP, min_depth=MIN_DEPTH):
+def disparity_to_depth(disp, baseline, focal):
+    """depth = b*f / d for disparity in pixels, clamped at 1e-6 px."""
+    return (baseline * focal) / np.maximum(_as_array(disp), DISP_EPS)
+
+
+def compute_metrics(pred_depth, gt_depth, mask, cap=DEPTH_CAP):
     """Standard error/accuracy columns over masked pixels.
 
-    Depths are clamped to [min_depth, cap] before comparison. d1_all is NaN
+    Depths are clamped to [MIN_DEPTH, cap] before comparison. d1_all is NaN
     here: it is defined on disparities, see compute_d1.
     """
     pred = _as_array(pred_depth)
@@ -47,8 +53,8 @@ def compute_metrics(pred_depth, gt_depth, mask, cap=DEPTH_CAP, min_depth=MIN_DEP
         raise ValueError(f"shape mismatch: pred {pred.shape}, gt {gt.shape}, mask {valid.shape}")
     if not valid.any():
         raise ValueError("empty validity mask")
-    p = np.clip(pred[valid], min_depth, cap)
-    g = np.clip(gt[valid], min_depth, cap)
+    p = np.clip(pred[valid], MIN_DEPTH, cap)
+    g = np.clip(gt[valid], MIN_DEPTH, cap)
 
     err = p - g
     ratio = np.maximum(p / g, g / p)
@@ -88,8 +94,6 @@ def postprocess(disp_of_image, disp_of_flipped_image):
     d_flip = _as_array(disp_of_flipped_image)
     if d.shape != d_flip.shape:
         raise ValueError(f"shape mismatch: {d.shape} vs {d_flip.shape}")
-    if d.ndim == 4:
-        d, d_flip = d[0, 0], d_flip[0, 0]
     h, w = d.shape
     mirrored = d_flip[:, ::-1]
     mean_d = 0.5 * (d + mirrored)
@@ -99,12 +103,11 @@ def postprocess(disp_of_image, disp_of_flipped_image):
     return r_mask * d + l_mask * mirrored + (1.0 - l_mask - r_mask) * mean_d
 
 
-def format_report(rows, aggregate=True):
+def format_report(rows):
     """CSV report: one line per sample plus a trailing mean row."""
     lines = [CSV_COLUMNS]
     table = np.array([r.row() for r in rows], dtype=np.float64)
     for row in table:
         lines.append(",".join(f"{v:.6f}" for v in row))
-    if aggregate and len(rows):
-        lines.append(",".join(f"{v:.6f}" for v in table.mean(axis=0)))
+    lines.append(",".join(f"{v:.6f}" for v in table.mean(axis=0)))
     return "\n".join(lines) + "\n"

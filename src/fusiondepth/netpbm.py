@@ -77,19 +77,19 @@ def read_ppm(path):
     return np.frombuffer(payload, dtype=np.uint8).reshape(h, w, 3).astype(np.float64) / 255.0
 
 
-def write_pgm16(path, values, scale=DISP_SCALE):
+def write_pgm16(path, values):
     """Write an (H, W) float map as 16-bit big-endian PGM, scaled by 256."""
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 2:
         raise FileFormatError(f"PGM wants (H, W) data, got {arr.shape}")
     h, w = arr.shape
-    quantized = np.clip(np.round(arr * scale), 0, 65535).astype(">u2")
+    quantized = np.clip(np.round(arr * DISP_SCALE), 0, 65535).astype(">u2")
     with open(path, "wb") as f:
         f.write(f"P5\n{w} {h}\n65535\n".encode("ascii"))
         f.write(quantized.tobytes())
 
 
-def read_pgm16(path, scale=DISP_SCALE):
+def read_pgm16(path):
     with open(path, "rb") as f:
         blob = f.read()
     w, h, maxval, off = _parse_header(blob, b"P5", path)
@@ -99,4 +99,4 @@ def read_pgm16(path, scale=DISP_SCALE):
     payload = blob[off:off + expected]
     if len(payload) != expected:
         raise FileFormatError(f"{path}: payload holds {len(payload)} bytes, expected {expected}")
-    return np.frombuffer(payload, dtype=">u2").reshape(h, w).astype(np.float64) / scale
+    return np.frombuffer(payload, dtype=">u2").reshape(h, w).astype(np.float64) / DISP_SCALE

@@ -1,21 +1,21 @@
 """Adam, the staged training schedule, and the flat config file format.
 
-Stage 1 trains all four scales with every loss term; stage 2 drops to the
-two finest scales; stage 3 keeps those scales but disables smoothness and
-occlusion regularization. Per-epoch mean losses append to train_log.csv and
-a checkpoint lands at each stage boundary.
+Each stage is a LossWeights value. Stage 1 trains with the configured
+weights; stage 2 zeroes the factors of the two coarsest scales; stage 3 also
+zeroes the smoothness and occlusion weights. Per-epoch mean losses append to
+train_log.csv and a checkpoint lands at each stage boundary.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import autodiff as ad
 from . import scenes
-from .losses import LossTerms, LossWeights, StereoSample, total_loss
+from .losses import LossWeights, StereoSample, total_loss
 from .network import (ARCH_KEYS, ArchConfig, ConfigError, DepthNet, format_config_lines, read_config_lines,
                       save_checkpoint)
 
@@ -44,13 +44,12 @@ class TrainConfig:
             raise ConfigError(f"batch size must be >= 1, got {self.batch_size}")
 
 
-def stage_plan(stage_epochs):
-    """(epochs, active scales, term flags) per stage."""
-    return [
-        (stage_epochs[0], (0, 1, 2, 3), LossTerms()),
-        (stage_epochs[1], (0, 1), LossTerms()),
-        (stage_epochs[2], (0, 1), LossTerms(smoothness=False, occlusion=False)),
-    ]
+def stage_plan(cfg):
+    """(epochs, loss weights) per stage."""
+    f = cfg.loss.scale_factors
+    two_finest = replace(cfg.loss, scale_factors=f[:2] + (0.0, 0.0))
+    fine_tune = replace(two_finest, smoothness=0.0, occlusion=0.0)
+    return list(zip(cfg.stage_epochs, (cfg.loss, two_finest, fine_tune)))
 
 
 class Adam:
@@ -95,15 +94,15 @@ def _stack_samples(chunk):
     )
 
 
-def _train_epoch(net, opt, samples, rng, cfg, scales, terms):
+def _train_epoch(net, opt, samples, rng, batch_size, weights):
     order = rng.permutation(len(samples))
     total = 0.0
-    for start in range(0, len(order), cfg.batch_size):
-        chunk = [samples[i] for i in order[start:start + cfg.batch_size]]
+    for start in range(0, len(order), batch_size):
+        chunk = [samples[i] for i in order[start:start + batch_size]]
         batch = _stack_samples(chunk)
         left_set = net.forward(batch.left)
         right_set = net.forward(batch.right)
-        loss = total_loss(left_set, right_set, batch, cfg.loss, scales, terms)
+        loss = total_loss(left_set, right_set, batch, weights)
         opt.zero_grad()
         ad.backward(loss)
         opt.step()
@@ -127,10 +126,10 @@ def run_schedule(cfg: TrainConfig, log=None):
         f.write("epoch,stage,mean_loss\n")
 
     epoch = 0
-    for stage_no, (epochs, active_scales, terms) in enumerate(stage_plan(cfg.stage_epochs), start=1):
+    for stage_no, (epochs, weights) in enumerate(stage_plan(cfg), start=1):
         for _ in range(epochs):
             epoch += 1
-            mean_loss = _train_epoch(net, opt, samples, rng, cfg, active_scales, terms)
+            mean_loss = _train_epoch(net, opt, samples, rng, cfg.batch_size, weights)
             with open(log_path, "a") as f:
                 f.write(f"{epoch},{stage_no},{mean_loss:.17g}\n")
             if log is not None:
@@ -167,8 +166,11 @@ def parse_config(path):
     """Read a TrainConfig from namespaced `key = value` lines."""
     with open(path) as f:
         values = read_config_lines(f, CONFIG_KEYS, path)
-    return TrainConfig(arch=ArchConfig(**values[ArchConfig]), loss=LossWeights(**values[LossWeights]),
-                       **values[TrainConfig])
+    try:
+        return TrainConfig(arch=ArchConfig(**values[ArchConfig]), loss=LossWeights(**values[LossWeights]),
+                           **values[TrainConfig])
+    except ConfigError as e:
+        raise ConfigError(f"{path}: {e}") from None
 
 
 def default_config_text():

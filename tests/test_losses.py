@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import check_gradients
 from fusiondepth import autodiff as ad
 from fusiondepth import losses as ls
-from fusiondepth.network import DisparitySet
+from fusiondepth.network import ConfigError, DisparitySet
 
 
 def const_image(value, shape=(1, 3, 8, 8)):
@@ -156,6 +156,22 @@ class TestOcclusionReg:
         assert two == pytest.approx(2 * one, rel=1e-12)
 
 
+def tape_ops(loss):
+    ops, stack = set(), [loss]
+    while stack:
+        node = stack.pop()
+        ops.add(node._op)
+        stack.extend(node._parents)
+    return ops
+
+
+def random_disparity_sets(seed, requires_grad=False, h=32, w=32):
+    rng = np.random.default_rng(seed)
+    sets = [[ad.Tensor(rng.uniform(0.01, 0.12, (1, 1, h >> s, w >> s)), requires_grad=requires_grad)
+             for s in range(4)] for _ in range(2)]
+    return DisparitySet(sets[0]), DisparitySet(sets[1])
+
+
 def zero_disparity_sets(h=32, w=32):
     maps = [ad.zeros((1, 1, h >> s, w >> s)) for s in range(4)]
     return DisparitySet(list(maps)), DisparitySet([ad.zeros(m.shape) for m in maps])
@@ -173,33 +189,36 @@ class TestTotalLoss:
         assert loss.item() == 0.0
 
     def test_empty_scales_rejected(self):
-        left_set, right_set = zero_disparity_sets()
-        with pytest.raises(ValueError):
-            ls.total_loss(left_set, right_set, self.sample(), active_scales=())
+        with pytest.raises(ConfigError, match="4 scale factors"):
+            ls.LossWeights(scale_factors=())
+
+    def test_all_scale_factors_zero_gives_zero(self):
+        left_set, right_set = random_disparity_sets(9)
+        loss = ls.total_loss(left_set, right_set, self.sample(), ls.LossWeights(scale_factors=(0, 0, 0, 0)))
+        assert loss.item() == 0.0
 
     def test_disabled_terms_contribute_nothing(self):
-        rng = np.random.default_rng(9)
-        maps = [ad.Tensor(rng.uniform(0.01, 0.12, (1, 1, 32 >> s, 32 >> s))) for s in range(4)]
-        maps_r = [ad.Tensor(rng.uniform(0.01, 0.12, (1, 1, 32 >> s, 32 >> s))) for s in range(4)]
-        left_set, right_set = DisparitySet(maps), DisparitySet(maps_r)
+        left_set, right_set = random_disparity_sets(9, requires_grad=True)
         sample = self.sample()
-        fine_tune = ls.LossTerms(smoothness=False, occlusion=False)
-        small = ls.total_loss(left_set, right_set, sample, ls.LossWeights(smoothness=0.1), terms=fine_tune)
-        huge = ls.total_loss(left_set, right_set, sample, ls.LossWeights(smoothness=1e6), terms=fine_tune)
-        assert small.item() == huge.item()
-        # and matches assembling the two active terms by hand
+        fine_tune = ls.LossWeights(smoothness=0.0, occlusion=0.0)
+        loss = ls.total_loss(left_set, right_set, sample, fine_tune)
+        # smoothness is the only term that uses exp: a zero weight leaves it off the tape
+        assert "exp" in tape_ops(ls.total_loss(left_set, right_set, sample))
+        assert "exp" not in tape_ops(loss)
+        # and the value matches assembling appearance and left-right by hand
         w = ls.LossWeights()
         manual = 0.0
         li = ls.image_pyramid(sample.left)
         ri = ls.image_pyramid(sample.right)
         for s in range(4):
+            d_l, d_r = left_set.maps[s], right_set.maps[s]
             app = (
-                ls.appearance_loss(li[s], ls.reconstruct(ri[s], maps[s], "left"), w).item()
-                + ls.appearance_loss(ri[s], ls.reconstruct(li[s], maps_r[s], "right"), w).item()
+                ls.appearance_loss(li[s], ls.reconstruct(ri[s], d_l, "left"), w).item()
+                + ls.appearance_loss(ri[s], ls.reconstruct(li[s], d_r, "right"), w).item()
             ) / 2
-            lr = ls.lr_consistency_loss(maps[s], maps_r[s]).item() * w.lr_consistency
+            lr = ls.lr_consistency_loss(d_l, d_r).item() * w.lr_consistency
             manual += w.scale_factors[s] * (app + lr)
-        assert small.item() == pytest.approx(manual, rel=1e-12)
+        assert loss.item() == pytest.approx(manual, rel=1e-12)
 
     def test_finite_and_positive_on_random_maps(self):
         rng = np.random.default_rng(10)
@@ -209,33 +228,33 @@ class TestTotalLoss:
         assert np.isfinite(loss.item()) and loss.item() > 0.0
 
     def test_scale_subset_sums_only_those_scales(self):
-        rng = np.random.default_rng(12)
-        maps_l = [ad.Tensor(rng.uniform(0.01, 0.12, (1, 1, 32 >> s, 32 >> s))) for s in range(4)]
-        maps_r = [ad.Tensor(rng.uniform(0.01, 0.12, (1, 1, 32 >> s, 32 >> s))) for s in range(4)]
         sample = self.sample(13)
-        sets = DisparitySet(maps_l), DisparitySet(maps_r)
+        sets = random_disparity_sets(12)
         all_scales = ls.total_loss(*sets, sample).item()
-        per_scale = [ls.total_loss(*sets, sample, active_scales=(s,)).item() for s in range(4)]
+        f = ls.LossWeights().scale_factors
+        one_hot = [tuple(f[t] if t == s else 0.0 for t in range(4)) for s in range(4)]
+        per_scale = [ls.total_loss(*sets, sample, ls.LossWeights(scale_factors=fs)).item() for fs in one_hot]
         assert all_scales == pytest.approx(sum(per_scale), rel=1e-12)
 
 
-class TestDepthConversion:
-    def test_direct_formula(self):
-        d = ad.tensor(np.full((1, 1, 1, 1), 2.0))
-        assert ls.disparity_to_depth(d, 1.0, 100.0).item() == 50.0
-        d = ad.tensor(np.full((1, 1, 1, 1), 36.0))
-        assert ls.disparity_to_depth(d, 0.5, 720.0).item() == 10.0
+class TestLossWeights:
+    @pytest.mark.parametrize("kwargs, match", [
+        (dict(scale_factors=(1.0, 0.5)), "4 scale factors"),
+        (dict(scale_factors=(1.0, 0.5, 0.25, 0.125, 0.0625)), "4 scale factors"),
+        (dict(scale_factors=(1.0, -0.5, 0.25, 0.125)), "scale factors must be >= 0"),
+        (dict(smoothness=-1.0), "smoothness weight must be >= 0"),
+        (dict(lr_consistency=-0.1), "lr_consistency weight must be >= 0"),
+        (dict(occlusion=float("nan")), "occlusion weight must be >= 0"),
+        (dict(alpha_ssim=1.5), "alpha_ssim must lie in"),
+        (dict(alpha_ssim=-0.1), "alpha_ssim must lie in"),
+    ], ids=["two_factors", "five_factors", "negative_factor", "negative_smoothness",
+            "negative_lr_consistency", "nan_occlusion", "alpha_above_1", "alpha_below_0"])
+    def test_invalid_rejected(self, kwargs, match):
+        with pytest.raises(ConfigError, match=match):
+            ls.LossWeights(**kwargs)
 
-    def test_doubling_disparity_halves_depth(self):
-        d1 = ls.disparity_to_depth(ad.scalar(3.0), 0.5, 480.0).item()
-        d2 = ls.disparity_to_depth(ad.scalar(6.0), 0.5, 480.0).item()
-        assert d2 == pytest.approx(d1 / 2, rel=1e-15)
-
-    def test_gradient_through_conversion(self):
-        rng = np.random.default_rng(14)
-        disp = ad.Tensor(rng.uniform(2.0, 8.0, (1, 1, 3, 3)), requires_grad=True)
-
-        def build():
-            return ad.reduce_mean(ls.disparity_to_depth(disp, 0.5, 480.0))
-
-        check_gradients(build, [disp], tol=1e-4)
+    def test_zero_weights_and_alpha_bounds_accepted(self):
+        for alpha in (0.0, 1.0):
+            w = ls.LossWeights(alpha_ssim=alpha, smoothness=0, lr_consistency=0, occlusion=0,
+                               scale_factors=[0, 0, 0, 1])
+            assert w.scale_factors == (0.0, 0.0, 0.0, 1.0)

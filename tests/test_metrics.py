@@ -127,6 +127,17 @@ class TestD1:
         assert mt.compute_d1(pred, gt, mask) == pytest.approx(want, abs=1e-12)
 
 
+class TestDepthConversion:
+    def test_direct_formula(self):
+        assert mt.disparity_to_depth(np.full((1, 1), 2.0), 1.0, 100.0)[0, 0] == 50.0
+        assert mt.disparity_to_depth(np.full((1, 1), 36.0), 0.5, 720.0)[0, 0] == 10.0
+
+    def test_doubling_disparity_halves_depth(self):
+        d1 = mt.disparity_to_depth(np.array([[3.0]]), 0.5, 480.0)[0, 0]
+        d2 = mt.disparity_to_depth(np.array([[6.0]]), 0.5, 480.0)[0, 0]
+        assert d2 == pytest.approx(d1 / 2, rel=1e-15)
+
+
 class TestPostprocess:
     def test_identical_constant_maps(self):
         d = np.full((6, 10), 4.0)
@@ -153,11 +164,6 @@ class TestPostprocess:
         assert out[0, 0] == 1.0
         assert out[0, w // 2] == pytest.approx(0.5)
 
-    def test_accepts_rank4_maps(self):
-        d = np.full((1, 1, 6, 10), 2.0)
-        out = mt.postprocess(d, d)
-        assert out.shape == (6, 10)
-        assert np.allclose(out, 2.0)
 
 
 class TestReport:
@@ -172,8 +178,8 @@ class TestReport:
 
     def test_row_count_and_parse(self):
         rows = self.rows()
-        lines = mt.format_report(rows, aggregate=False).splitlines()
-        assert len(lines) == 1 + len(rows)
+        lines = mt.format_report(rows).splitlines()
+        assert len(lines) == 2 + len(rows)  # header, one line per row, mean row
         for line in lines[1:]:
             fields = line.split(",")
             assert len(fields) == 8
@@ -181,7 +187,6 @@ class TestReport:
 
     def test_aggregate_appends_mean_row(self):
         rows = self.rows()
-        lines = mt.format_report(rows, aggregate=True).splitlines()
-        assert len(lines) == 2 + len(rows)
+        lines = mt.format_report(rows).splitlines()
         mean_abs_rel = float(lines[-1].split(",")[0])
         assert mean_abs_rel == pytest.approx((rows[0].abs_rel + rows[1].abs_rel) / 2, rel=1e-12)

@@ -10,7 +10,7 @@ from fusiondepth import autodiff as ad
 from fusiondepth import cli
 from fusiondepth import training as tr
 from fusiondepth.network import ArchConfig
-from fusiondepth.scenes import random_scene, write_dataset
+from fusiondepth.scenes import random_scene, render_stereo, write_dataset
 
 
 def leaf(value):
@@ -65,16 +65,21 @@ class TestAdam:
 
 class TestStagePlan:
     def test_three_stages(self):
-        plan = tr.stage_plan((25, 5, 5))
-        assert [epochs for epochs, _, _ in plan] == [25, 5, 5]
-        assert plan[0][1] == (0, 1, 2, 3)
-        assert plan[1][1] == (0, 1)
-        assert plan[2][1] == (0, 1)
+        cfg = tr.TrainConfig(stage_epochs=(25, 5, 5))
+        plan = tr.stage_plan(cfg)
+        assert [epochs for epochs, _ in plan] == [25, 5, 5]
+        f = cfg.loss.scale_factors
+        assert plan[0][1] == cfg.loss
+        assert plan[1][1].scale_factors == f[:2] + (0.0, 0.0)
+        assert plan[2][1].scale_factors == f[:2] + (0.0, 0.0)
+        assert plan[1][1].smoothness == cfg.loss.smoothness and plan[1][1].occlusion == cfg.loss.occlusion
 
     def test_final_stage_drops_regularizers(self):
-        _, _, terms = tr.stage_plan((1, 1, 1))[2]
-        assert not terms.smoothness and not terms.occlusion
-        assert terms.appearance and terms.lr_consistency
+        cfg = tr.TrainConfig(stage_epochs=(1, 1, 1))
+        _, weights = tr.stage_plan(cfg)[2]
+        assert weights.smoothness == 0.0 and weights.occlusion == 0.0
+        assert weights.alpha_ssim == cfg.loss.alpha_ssim
+        assert weights.lr_consistency == cfg.loss.lr_consistency
 
 
 class TestParseConfig:
@@ -156,6 +161,40 @@ class TestParseConfig:
         path.write_text("train.lr = fast\n")
         with pytest.raises(tr.ConfigError):
             tr.parse_config(path)
+
+    @pytest.mark.parametrize("line, match", [
+        ("train.lr = -1", "learning rate must be positive"),
+        ("arch.levels = 2", "need at least 3 levels"),
+        ("loss.scale_factors = 1.0, 0.5", "need 4 scale factors"),
+    ])
+    def test_range_error_names_file(self, tmp_path, line, match):
+        path = tmp_path / "cfg.txt"
+        path.write_text(line + "\n")
+        with pytest.raises(tr.ConfigError, match=match) as info:
+            tr.parse_config(path)
+        assert str(info.value).startswith(f"{path}: ")
+
+
+class TestBatch:
+    def test_stacked_batch_is_mean_of_samples(self):
+        samples = [render_stereo(random_scene(seed, width=32, height=32)) for seed in range(2)]
+        net = tr.DepthNet(tiny_arch(), seed=3)
+        leaves = [t for _, t in net.parameters()]
+
+        def loss_and_grad(sample):
+            for t in leaves:
+                t.grad = None
+            loss = tr.total_loss(net.forward(sample.left), net.forward(sample.right), sample)
+            ad.backward(loss)
+            return loss.item(), np.concatenate([t.grad.ravel() for t in leaves])
+
+        batch = tr._stack_samples(samples)
+        assert batch.left.shape[0] == 2 and batch.right.shape[0] == 2
+        loss, grad = loss_and_grad(batch)
+        (loss_0, grad_0), (loss_1, grad_1) = (loss_and_grad(s) for s in samples)
+        assert loss == pytest.approx((loss_0 + loss_1) / 2, rel=1e-12)
+        mean_grad = (grad_0 + grad_1) / 2
+        assert np.linalg.norm(grad - mean_grad) <= 1e-12 * np.linalg.norm(mean_grad)
 
 
 def tiny_arch():
@@ -276,6 +315,16 @@ class TestCli:
     def test_missing_required_flag_exits_2(self, capsys):
         assert cli.main(["gen-data", "--count", "2"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("line", ["loss.scale_factors = 1.0, 0.5", "loss.alpha_ssim = 1.5",
+                                      "loss.smoothness = -1"])
+    def test_invalid_loss_weights_exit_1_before_training(self, tmp_path, capsys, line):
+        cfg_path = tmp_path / "train.cfg"
+        cfg_path.write_text(f"{line}\ntrain.checkpoint_dir = {tmp_path / 'ckpt'}\ndata.dir = {tmp_path / 'data'}\n")
+        assert cli.main(["train", "--config", str(cfg_path)]) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith(f"error: {cfg_path}: ") and "epoch" not in out
+        assert not (tmp_path / "ckpt").exists()
 
     def test_runtime_error_exits_1(self, tmp_path, capsys):
         code = cli.main(["eval", "--checkpoint", str(tmp_path / "no.fdpt"),
