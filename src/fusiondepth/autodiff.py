@@ -55,12 +55,6 @@ class Tensor:
             raise ShapeError(f"item() needs a single element, shape is {self.shape}")
         return float(self.values.reshape(()))
 
-    def zero_grad(self):
-        self.grad = None
-
-    def backward(self):
-        backward(self)
-
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, op={self._op!r}{flag})"
@@ -97,18 +91,9 @@ class Tensor:
         return scale(self, -1.0)
 
 
-def tensor(values, requires_grad=False):
-    """Wrap array data (copied, float64) as a rank-4 leaf tensor."""
-    return Tensor(np.array(values, dtype=np.float64), requires_grad=requires_grad)
-
-
 def scalar(value, requires_grad=False):
     """A (1,1,1,1) tensor holding one number."""
     return Tensor(np.full((1, 1, 1, 1), value, dtype=np.float64), requires_grad=requires_grad)
-
-
-def zeros(shape, requires_grad=False):
-    return Tensor(np.zeros(shape, dtype=np.float64), requires_grad=requires_grad)
 
 
 def _tracked(values, parents, vjp, op):
@@ -123,7 +108,7 @@ def backward(loss):
     """Accumulate d(loss)/d(leaf) into .grad for every reachable leaf.
 
     loss must be a scalar-shaped (1,1,1,1) tensor. Repeated calls keep
-    accumulating; callers reset leaves via zero_grad between steps.
+    accumulating; callers set each leaf's .grad to None between steps.
     """
     if not isinstance(loss, Tensor):
         raise TypeError("backward expects a Tensor")
@@ -321,15 +306,6 @@ def clamp(x, lo, hi):
     return _tracked(out, (x,), vjp, "clamp")
 
 
-def square(x):
-    out = x.values * x.values
-
-    def vjp(g):
-        return (2.0 * g * x.values,)
-
-    return _tracked(out, (x,), vjp, "square")
-
-
 def sqrt(x):
     out = np.sqrt(x.values)
 
@@ -356,16 +332,6 @@ def reduce_mean(x, axes=None):
         return (np.broadcast_to(g, x.shape) / count,)
 
     return _tracked(out, (x,), vjp, "mean")
-
-
-def reduce_sum(x, axes=None):
-    axes = tuple(range(4)) if axes is None else tuple(sorted(set(axes)))
-    out = x.values.sum(axis=axes, keepdims=True)
-
-    def vjp(g):
-        return (np.broadcast_to(g, x.shape).copy(),)
-
-    return _tracked(out, (x,), vjp, "sum")
 
 
 def concat_channels(parts):

@@ -57,8 +57,8 @@ def _cmd_eval(args):
     rows = []
     for sample in samples:
         disp = _disparity_px(net, sample.left, args.pp)
-        gt = sample.gt_disparity.values[0, 0]
-        mask = gt > 0
+        gt = sample.gt_disparity
+        mask = gt > 0  # not nonoccluded_mask: perfbench/reference.json pins these metrics
         d1 = me.compute_d1(disp, gt, mask)
         pred_depth = me.disparity_to_depth(disp, baseline, focal)
         gt_depth = me.disparity_to_depth(gt, baseline, focal)

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import autodiff as ad
 from .network import ConfigError
 
@@ -20,14 +22,14 @@ SSIM_C2 = 0.03 ** 2
 
 @dataclass
 class StereoSample:
-    """Rectified pair with calibration; gt_disparity (pixels) is only for
-    evaluation and never enters the loss."""
+    """Rectified pair with calibration; gt_disparity, an (H, W) array in
+    pixels, is only for evaluation and never enters the loss."""
 
     left: ad.Tensor
     right: ad.Tensor
     baseline: float
     focal: float
-    gt_disparity: ad.Tensor | None = None
+    gt_disparity: np.ndarray | None = None
 
     def __post_init__(self):
         if self.left.shape != self.right.shape:

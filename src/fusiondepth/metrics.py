@@ -1,7 +1,6 @@
 """Depth evaluation metrics and disparity post-processing.
 
 Plain numpy: evaluation is post-hoc arithmetic and never needs gradients.
-Inputs may be numpy arrays or engine tensors (anything with .values).
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ class DepthMetrics:
 
 
 def _as_array(x):
-    return np.asarray(getattr(x, "values", x), dtype=np.float64)
+    return np.asarray(x, dtype=np.float64)
 
 
 def disparity_to_depth(disp, baseline, focal):

@@ -53,8 +53,8 @@ class ArchConfig:
             raise ConfigError(f"kernel size must be odd, got {self.kernel_size}")
         if not 0.0 < self.reservation < 1.0:
             raise ConfigError(f"reservation ratio must lie in (0, 1), got {self.reservation}")
-        if self.d_max <= 0.0:
-            raise ConfigError(f"d_max must be positive, got {self.d_max}")
+        if not 0.0 < self.d_max < math.inf:  # NaN fails too
+            raise ConfigError(f"d_max must be positive and finite, got {self.d_max}")
 
 
 # ---------------------------------------------------------------------------
@@ -147,14 +147,14 @@ def format_config_lines(keys, *objects):
 # coordinate channels
 
 
-def coord_channels(height, width, center=None):
+def coord_channels(height, width):
     """The three hard-coded channels: row ramp, column ramp, radius.
 
     Ramps span [-1, 1]; the radius sqrt((i - ci)^2 + (j - cj)^2) is measured
-    from `center` (default (h/2, w/2)) and normalized by the largest corner
-    radius so it lands in [0, 1]. Returns a (1, 3, h, w) array.
+    from (ci, cj) = (h/2, w/2) and normalized by the largest corner radius so
+    it lands in [0, 1]. Returns a (1, 3, h, w) array.
     """
-    ci, cj = (height / 2.0, width / 2.0) if center is None else (float(center[0]), float(center[1]))
+    ci, cj = height / 2.0, width / 2.0
     rows = np.linspace(-1.0, 1.0, height) if height > 1 else np.zeros(1)
     cols = np.linspace(-1.0, 1.0, width) if width > 1 else np.zeros(1)
     ii, jj = np.meshgrid(np.arange(height, dtype=np.float64), np.arange(width, dtype=np.float64), indexing="ij")
@@ -171,16 +171,15 @@ def coord_channels(height, width, center=None):
 
 
 @functools.lru_cache(maxsize=64)
-def _coord_tensor(n, height, width, center):
-    base = coord_channels(height, width, center)
+def _coord_tensor(n, height, width):
+    base = coord_channels(height, width)
     return ad.Tensor(np.ascontiguousarray(np.broadcast_to(base, (n, 3, height, width))))
 
 
-def coordconv_augment(feature, principal_point=None):
+def coordconv_augment(feature):
     """Append the i / j / radius channels to a feature map."""
     n, _, h, w = feature.shape
-    center = None if principal_point is None else (float(principal_point[0]), float(principal_point[1]))
-    return ad.concat_channels([feature, _coord_tensor(n, h, w, center)])
+    return ad.concat_channels([feature, _coord_tensor(n, h, w)])
 
 
 # ---------------------------------------------------------------------------
@@ -311,18 +310,10 @@ class RefineModule:
             tail.weight.values[:] = 0.0
             tail.bias.values[:] = 0.0
 
-    def _sr_logits(self, coarse_disp, d_max):
-        """Coarse disparity back to logits, then the sr conv and pixel shuffle."""
+    def __call__(self, coarse_disp, features, d_max):
         frac = ad.clamp(ad.scale(coarse_disp, 1.0 / d_max), self.LOGIT_MARGIN, 1.0 - self.LOGIT_MARGIN)
         logits = ad.sub(ad.log(frac), ad.log(ad.sub(ad.scalar(1.0), frac)))
-        return ad.pixel_shuffle(self.sr(logits), 2)
-
-    def super_resolve(self, coarse_disp, d_max):
-        """The bare sub-pixel coarse path, no residual correction."""
-        return ad.scale(ad.sigmoid(self._sr_logits(coarse_disp, d_max)), d_max)
-
-    def __call__(self, coarse_disp, features, d_max):
-        sr_logits = self._sr_logits(coarse_disp, d_max)
+        sr_logits = ad.pixel_shuffle(self.sr(logits), 2)
         tower = ad.elu(self.res1(features))
         tower = ad.elu(self.res2(tower))
         tower = ad.elu(self.res3(tower))
@@ -444,21 +435,14 @@ class DepthNet:
             pyramid.append(x)
         return pyramid
 
-    def _center(self, feature, principal_point, level):
-        if principal_point is None:
-            return None
-        return (principal_point[0] / (1 << level), principal_point[1] / (1 << level))
+    def _augment(self, feature):
+        return coordconv_augment(feature) if self.cfg.coordconv_enabled else feature
 
-    def _augment(self, feature, principal_point, level):
-        if not self.cfg.coordconv_enabled:
-            return feature
-        return coordconv_augment(feature, self._center(feature, principal_point, level))
-
-    def forward(self, image, principal_point=None):
+    def forward(self, image):
         cfg = self.cfg
         L = cfg.num_levels
         pyramid = self.encode(image)
-        augmented = [self._augment(f, principal_point, p) for p, f in enumerate(pyramid, start=1)]
+        augmented = [self._augment(f) for f in pyramid]
         fused = [block(augmented) for block in self.fusion]
 
         feats = {L: fused[L - 1]}
@@ -466,7 +450,7 @@ class DepthNet:
         for p in range(L - 1, self.min_level - 1, -1):
             up = ad.upsample_nearest(x, 2)
             if p >= 1:
-                skip = self._augment(fused[p - 1], principal_point, p)
+                skip = self._augment(fused[p - 1])
                 x = ad.elu(self.decoder[p](ad.concat_channels([up, skip])))
             else:
                 x = ad.elu(self.decoder[p](up))

@@ -9,6 +9,7 @@ right camera sees real content where its view leaves the left frame.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -169,19 +170,21 @@ def render_stereo(spec: SceneSpec) -> StereoSample:
         right=ad.Tensor(right.transpose(2, 0, 1)[None]),
         baseline=spec.baseline,
         focal=spec.focal,
-        gt_disparity=ad.Tensor(gt[None, None]),
+        gt_disparity=gt,
     )
 
 
 def nonoccluded_mask(gt_disparity):
-    """Left-image pixels whose match is visible in the right image.
+    """Left-image pixels of an (H, W) disparity map whose match is visible in
+    the right image.
 
     A pixel is occluded when a nearer layer (larger disparity) claims its
-    target column, or its target falls off the left edge.
+    target column, or its target falls off the left edge. No command calls
+    this on purpose: it is the oracle the tests check the renderer, the warp
+    and trained disparity against. `eval` masks `gt > 0` instead, because
+    perfbench/reference.json pins the eval metrics of a seeded net.
     """
-    g = np.asarray(getattr(gt_disparity, "values", gt_disparity), dtype=np.float64)
-    if g.ndim == 4:
-        g = g[0, 0]
+    g = np.asarray(gt_disparity, dtype=np.float64)
     h, w = g.shape
     cols = np.arange(w)
     mask = np.zeros((h, w), dtype=bool)
@@ -240,7 +243,7 @@ def write_dataset(directory, specs):
             raise SceneError("all scenes in a dataset must share calibration")
         netpbm.write_ppm(os.path.join(directory, f"{index:06}_left.ppm"), _image_array(sample.left))
         netpbm.write_ppm(os.path.join(directory, f"{index:06}_right.ppm"), _image_array(sample.right))
-        netpbm.write_pgm16(os.path.join(directory, f"{index:06}_disp.pgm"), sample.gt_disparity.values[0, 0])
+        netpbm.write_pgm16(os.path.join(directory, f"{index:06}_disp.pgm"), sample.gt_disparity)
         lines.append(f"{index:06}")
     if baseline is None:
         baseline, focal = 0.5, 480.0
@@ -264,15 +267,18 @@ def read_manifest(directory):
             line = raw.decode("utf-8").strip()
             if "=" in line:
                 key, value = line.split("=", 1)
-                if key == "baseline":
-                    baseline = float(value)
-                elif key == "focal":
-                    focal = float(value)
-                else:
+                if key not in ("baseline", "focal"):
                     raise SceneError(f"unknown manifest key {key!r}")
+                number = float(value)
+                if not 0.0 < number < math.inf:  # NaN fails too
+                    raise SceneError(f"{key} must be positive and finite, got {value!r}")
+                if key == "baseline":
+                    baseline = number
+                else:
+                    focal = number
             elif line:
                 indices.append(line)
-        except ValueError as e:  # bad float, bad utf-8 and unknown keys alike
+        except ValueError as e:  # bad float, bad utf-8, unknown keys and bad calibration alike
             raise SceneError(f"{path}:{lineno}: {e}") from None
     if baseline is None or focal is None:
         raise SceneError(f"{path} is missing baseline=/focal= lines")
@@ -293,7 +299,7 @@ def load_dataset(directory):
                 right=ad.Tensor(right.transpose(2, 0, 1)[None]),
                 baseline=baseline,
                 focal=focal,
-                gt_disparity=ad.Tensor(disp[None, None]),
+                gt_disparity=disp,
             )
         )
     return samples, baseline, focal

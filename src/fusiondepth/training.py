@@ -8,6 +8,7 @@ train_log.csv and a checkpoint lands at each stage boundary.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field, replace
 
@@ -38,8 +39,14 @@ class TrainConfig:
         self.stage_epochs = tuple(int(e) for e in self.stage_epochs)
         if len(self.stage_epochs) != 3 or any(e < 0 for e in self.stage_epochs):
             raise ConfigError(f"stage_epochs must be 3 non-negative integers, got {self.stage_epochs}")
-        if self.lr <= 0:
-            raise ConfigError(f"learning rate must be positive, got {self.lr}")
+        # each comparison is written so that NaN fails it
+        if not 0.0 < self.lr < math.inf:
+            raise ConfigError(f"learning rate must be positive and finite, got {self.lr}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
+        if not self.eps > 0.0:
+            raise ConfigError(f"eps must be positive, got {self.eps}")
         if self.batch_size < 1:
             raise ConfigError(f"batch size must be >= 1, got {self.batch_size}")
 
@@ -84,8 +91,6 @@ class Adam:
 
 
 def _stack_samples(chunk):
-    if len(chunk) == 1:
-        return chunk[0]
     return StereoSample(
         left=ad.Tensor(np.concatenate([s.left.values for s in chunk])),
         right=ad.Tensor(np.concatenate([s.right.values for s in chunk])),

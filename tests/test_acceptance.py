@@ -90,10 +90,8 @@ def op_checks(seed):
         ("exp", lambda: m(ad.exp(a)), [a]),
         ("log", lambda: m(ad.log(pos)), [pos]),
         ("clamp", lambda: m(ad.clamp(interior, -0.5, 0.5)), [interior]),
-        ("square", lambda: m(ad.square(a)), [a]),
         ("sqrt", lambda: m(ad.sqrt(pos)), [pos]),
         ("reduce_mean", lambda: ad.reduce_mean(ad.reduce_mean(a, axes=(2, 3))), [a]),
-        ("reduce_sum", lambda: m(ad.reduce_sum(a, axes=(1,))), [a]),
         ("concat", lambda: m(ad.concat_channels([a, b])), [a, b]),
         ("crop", lambda: m(ad.crop(a, 1, 3, 2, 5)), [a]),
         ("upsample", lambda: m(ad.upsample_nearest(a, 2)), [a]),
@@ -169,7 +167,8 @@ def test_criterion_2():
             assert [c.weight.shape[0] for c in tower] == [32, 32, 16, 4]
             assert module.res4.weight.shape[0] == 4  # 4 = 2x2 shuffle to one channel
         coarse = ad.Tensor(np.random.default_rng(0).uniform(0.1, 0.2, (1, 1, 8, 8)))
-        refined = net.refine[0].super_resolve(coarse, 0.3)
+        features = ad.Tensor(np.random.default_rng(1).uniform(-1, 1, (1, widths[0], 8, 8)))
+        refined = net.refine[0](coarse, features, 0.3)
         assert refined.shape == (1, 1, 16, 16)
 
         size = 1 << (levels + 1)
@@ -202,7 +201,7 @@ def disparity_mae(net, data_dir):
     for sample in samples:
         width = sample.left.shape[3]
         pred = net.forward(sample.left).maps[0].values[0, 0] * width
-        gt = sample.gt_disparity.values[0, 0]
+        gt = sample.gt_disparity
         mask = nonoccluded_mask(gt)
         num += np.abs(pred - gt)[mask].sum()
         den += mask.sum()
@@ -338,7 +337,7 @@ def test_criterion_7():
     for seed in range(50):
         sample = render_stereo(random_scene(seed, two_layer=bool(seed % 2)))
         gt = sample.gt_disparity
-        recon = ls.reconstruct(sample.right, ad.scale(gt, 1.0 / 64.0), "left")
+        recon = ls.reconstruct(sample.right, ad.Tensor(gt[None, None] / 64.0), "left")
         mask = nonoccluded_mask(gt)
         err = np.abs(recon.values - sample.left.values)[0, :, mask].max()
         worst = max(worst, float(err))

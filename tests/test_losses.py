@@ -22,17 +22,17 @@ def rand_image(seed, shape=(1, 3, 8, 8)):
 class TestStereoSample:
     def test_extent_mismatch_rejected(self):
         with pytest.raises(ad.ShapeError):
-            ls.StereoSample(ad.zeros((1, 3, 8, 8)), ad.zeros((1, 3, 8, 16)), 0.5, 480.0)
+            ls.StereoSample(const_image(0.0), const_image(0.0, (1, 3, 8, 16)), 0.5, 480.0)
 
     def test_calibration_positive(self):
         with pytest.raises(ValueError):
-            ls.StereoSample(ad.zeros((1, 3, 8, 8)), ad.zeros((1, 3, 8, 8)), -1.0, 480.0)
+            ls.StereoSample(const_image(0.0), const_image(0.0), -1.0, 480.0)
 
 
 class TestReconstruct:
     def test_zero_disparity_identity(self):
         src = rand_image(0)
-        out = ls.reconstruct(src, ad.zeros((1, 1, 8, 8)), "left")
+        out = ls.reconstruct(src, const_image(0.0, (1, 1, 8, 8)), "left")
         assert np.array_equal(out.values, src.values)
 
     def test_four_pixel_shift_oracle(self):
@@ -59,7 +59,7 @@ class TestReconstruct:
 
     def test_unknown_direction_rejected(self):
         with pytest.raises(ValueError):
-            ls.reconstruct(rand_image(3), ad.zeros((1, 1, 8, 8)), "up")
+            ls.reconstruct(rand_image(3), const_image(0.0, (1, 1, 8, 8)), "up")
 
     @pytest.mark.parametrize("seed", range(3))
     def test_gradient_reaches_disparity(self, seed):
@@ -128,7 +128,7 @@ class TestSmoothness:
 
 class TestLRConsistency:
     def test_zero_maps(self):
-        z = ad.zeros((1, 1, 8, 8))
+        z = const_image(0.0, (1, 1, 8, 8))
         assert ls.lr_consistency_loss(z, z).item() == 0.0
 
     def test_consistent_constant_maps(self):
@@ -144,7 +144,7 @@ class TestLRConsistency:
 
 class TestOcclusionReg:
     def test_zero_map(self):
-        assert ls.occlusion_reg(ad.zeros((1, 1, 4, 4))).item() == 0.0
+        assert ls.occlusion_reg(const_image(0.0, (1, 1, 4, 4))).item() == 0.0
 
     def test_constant_map(self):
         assert ls.occlusion_reg(const_image(0.07, (1, 1, 4, 4))).item() == pytest.approx(0.07)
@@ -173,8 +173,8 @@ def random_disparity_sets(seed, requires_grad=False, h=32, w=32):
 
 
 def zero_disparity_sets(h=32, w=32):
-    maps = [ad.zeros((1, 1, h >> s, w >> s)) for s in range(4)]
-    return DisparitySet(list(maps)), DisparitySet([ad.zeros(m.shape) for m in maps])
+    maps = [const_image(0.0, (1, 1, h >> s, w >> s)) for s in range(4)]
+    return DisparitySet(list(maps)), DisparitySet([const_image(0.0, m.shape) for m in maps])
 
 
 class TestTotalLoss:

@@ -62,11 +62,11 @@ class TestEncoder:
     def test_indivisible_extents_error_names_multiple(self):
         net = nw.DepthNet(small_cfg(), seed=0)
         with pytest.raises(nw.ConfigError, match="2\\^3 = 8"):
-            net.encode(ad.zeros((1, 3, 20, 20)))
+            net.encode(ad.Tensor(np.zeros((1, 3, 20, 20))))
 
     def test_zero_image_gives_constant_interior_activations(self):
         net = nw.DepthNet(small_cfg(), seed=3)
-        level1 = net.encode(ad.zeros((1, 3, 32, 32)))[0]
+        level1 = net.encode(ad.Tensor(np.zeros((1, 3, 32, 32))))[0]
         interior = level1.values[:, :, 2:-2, 2:-2]
         per_channel = interior.reshape(interior.shape[1], -1)
         assert np.all(per_channel == per_channel[:, :1])
@@ -92,10 +92,6 @@ class TestCoordChannels:
     def test_column_ramp_spans_unit_interval(self):
         base = nw.coord_channels(3, 5)
         assert base[0, 1, 0, 0] == -1.0 and base[0, 1, 0, -1] == 1.0
-
-    def test_custom_center_moves_zero(self):
-        base = nw.coord_channels(6, 6, center=(1.0, 2.0))
-        assert base[0, 2, 1, 2] == 0.0
 
     def test_augment_appends_exactly_three(self):
         feat = rand_image(2, 8, 8)
@@ -212,21 +208,27 @@ class TestRefinement:
         assert all(m.shape[1] == 1 for m in out.maps)
 
     def test_zero_residual_branch_is_identity(self):
-        net = nw.DepthNet(small_cfg(), seed=4)
-        for s in (2, 1, 0):
-            module = net.refine[s]
-            for layer in (module.res1, module.res2, module.res3, module.res4, module.post1, module.post2):
-                layer.weight.values[...] = 0.0
-                layer.bias.values[...] = 0.0
-        img = rand_image(13, 32, 32)
-        out = net.forward(img)
-        d3 = out.maps[3]
-        d2 = net.refine[2].super_resolve(d3, net.cfg.d_max)
-        d1 = net.refine[1].super_resolve(d2, net.cfg.d_max)
-        d0 = net.refine[0].super_resolve(d1, net.cfg.d_max)
-        assert np.array_equal(out.maps[2].values, d2.values)
-        assert np.array_equal(out.maps[1].values, d1.values)
-        assert np.array_equal(out.maps[0].values, d0.values)
+        rng = np.random.default_rng(13)
+        coarse = ad.Tensor(rng.uniform(0.01, 0.29, (1, 1, 8, 8)))
+        features = [ad.Tensor(rng.uniform(-1.0, 1.0, (1, 4, 8, 8))) for _ in range(2)]
+        d_max = small_cfg().d_max
+
+        # trained-like weights, then both correction tails zeroed: the features drop out
+        module = nw.DepthNet(small_cfg(), seed=4).refine[0]
+        for layer in (module.sr, module.res1, module.res2, module.res3, module.res4, module.post1, module.post2):
+            layer.weight.values += rng.normal(0.0, 0.1, layer.weight.shape)
+            layer.bias.values += rng.normal(0.0, 0.1, layer.bias.shape)
+        for tail in (module.res4, module.post2):
+            tail.weight.values[...] = 0.0
+            tail.bias.values[...] = 0.0
+        a, b = (module(coarse, f, d_max).values for f in features)
+        assert np.array_equal(a, b)
+
+        # a fresh module starts at nearest upsampling
+        fresh = nw.DepthNet(small_cfg(), seed=4).refine[0]
+        refined = fresh(coarse, features[0], d_max).values
+        nearest = np.repeat(np.repeat(coarse.values, 2, axis=2), 2, axis=3)
+        assert np.abs(refined - nearest).max() <= 1e-12 * np.abs(nearest).max()
 
     def test_disabled_refinement_uses_direct_heads(self):
         net = nw.DepthNet(small_cfg(refinement_enabled=False), seed=0)
@@ -348,6 +350,8 @@ class TestCheckpoint:
                      "byte 9: .*bad value for arch.levels", id="bad_header_value"),
         pytest.param(lambda h, r: join(h.replace(b"kernel = 3", b"kernel = 4"), r),
                      "byte 9: .*kernel size must be odd", id="invalid_arch"),
+        pytest.param(lambda h, r: join(h.replace(b"d_max = 0.3", b"d_max = nan"), r),
+                     "byte 9: .*d_max must be positive and finite, got nan", id="nan_d_max"),
         pytest.param(lambda h, r: join(h.replace(b"arch.d_max", b"# arch.d_max"), r),
                      "byte 9: missing arch.d_max", id="missing_header_key"),
         pytest.param(lambda h, r: join(h.replace(b"fusion = true", b"fusion = false"), r),

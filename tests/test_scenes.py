@@ -125,7 +125,7 @@ class TestSceneValidation:
 class TestRenderStereo:
     def test_single_layer_ground_truth(self):
         sample = render_stereo(single_layer_spec())
-        gt = sample.gt_disparity.values[0, 0]
+        gt = sample.gt_disparity
         assert np.array_equal(gt, np.full((64, 64), 4.0))
 
     def test_images_in_unit_range(self):
@@ -139,7 +139,7 @@ class TestRenderStereo:
         b = render_stereo(single_layer_spec(seed=7))
         assert np.array_equal(a.left.values, b.left.values)
         assert np.array_equal(a.right.values, b.right.values)
-        assert np.array_equal(a.gt_disparity.values, b.gt_disparity.values)
+        assert np.array_equal(a.gt_disparity, b.gt_disparity)
 
     def test_seed_changes_content(self):
         a = render_stereo(single_layer_spec(seed=1))
@@ -152,7 +152,7 @@ class TestRenderStereo:
             Layer(depth=BF / 8, texture="checker", rect=(16, 24, 24, 20)),
         ]
         sample = render_stereo(SceneSpec(seed=5, layers=layers))
-        gt = sample.gt_disparity.values[0, 0]
+        gt = sample.gt_disparity
         assert np.array_equal(gt[16:40, 24:44], np.full((24, 20), 8.0))
         outside = gt.copy()
         outside[16:40, 24:44] = 4.0
@@ -170,7 +170,7 @@ class TestRenderStereo:
             spec = random_scene(seed, two_layer=seed % 2 == 1)
             sample = render_stereo(spec)
             gt = sample.gt_disparity
-            offsets = ad.scale(gt, 1.0 / 64.0)
+            offsets = ad.Tensor(gt[None, None] / 64.0)
             recon = ls.reconstruct(sample.right, offsets, "left")
             mask = nonoccluded_mask(gt)
             err = np.abs(recon.values - sample.left.values)[0, :, mask].max()
@@ -186,7 +186,7 @@ class TestNonoccludedMask:
 
     def test_matches_brute_force(self):
         for seed in range(6):
-            gt = render_stereo(random_scene(seed, two_layer=True)).gt_disparity.values[0, 0]
+            gt = render_stereo(random_scene(seed, two_layer=True)).gt_disparity
             mask = nonoccluded_mask(gt)
             h, w = gt.shape
             for i in range(h):
@@ -215,7 +215,7 @@ class TestRandomScene:
     def test_disparities_in_range(self):
         for seed in range(20):
             spec = random_scene(seed, two_layer=seed % 3 == 0)
-            gt = render_stereo(spec).gt_disparity.values
+            gt = render_stereo(spec).gt_disparity
             vals = np.unique(gt)
             assert all(4 <= v <= 9 and v == int(v) for v in vals), (seed, vals)
 
@@ -237,7 +237,7 @@ class TestDataset:
         for spec, sample in zip(specs, samples):
             fresh = render_stereo(spec)
             assert np.abs(sample.left.values - fresh.left.values).max() <= 1.0 / 255.0
-            assert np.array_equal(sample.gt_disparity.values, fresh.gt_disparity.values)
+            assert np.array_equal(sample.gt_disparity, fresh.gt_disparity)
 
     def test_manifest_contents(self, tmp_path):
         write_dataset(tmp_path, self.specs())
@@ -253,6 +253,9 @@ class TestDataset:
         (b"000000\nbaseline=abc\nfocal=480\n", 2, "could not convert"),
         (b"baseline=0.5\nfocal=480\n\xff\xfe00\n", 3, "utf-8"),
         (b"baseline=0.5\nfocal=480\ncolor=red\n", 3, "unknown manifest key"),
+        (b"baseline=nan\nfocal=480\n000000\n", 1, "baseline must be positive and finite, got 'nan'"),
+        (b"baseline=0.5\nfocal=0\n000000\n", 2, "focal must be positive and finite, got '0'"),
+        (b"000000\nbaseline=-1\nfocal=480\n", 2, "baseline must be positive and finite, got '-1'"),
     ])
     def test_malformed_manifest_names_line(self, tmp_path, content, lineno, reason):
         (tmp_path / "manifest.txt").write_bytes(content)

@@ -317,7 +317,9 @@ class TestCli:
         capsys.readouterr()
 
     @pytest.mark.parametrize("line", ["loss.scale_factors = 1.0, 0.5", "loss.alpha_ssim = 1.5",
-                                      "loss.smoothness = -1"])
+                                      "loss.smoothness = -1", "train.lr = nan", "train.lr = inf",
+                                      "train.beta1 = 1.0", "train.beta2 = -0.1", "train.eps = 0",
+                                      "arch.d_max = nan"])
     def test_invalid_loss_weights_exit_1_before_training(self, tmp_path, capsys, line):
         cfg_path = tmp_path / "train.cfg"
         cfg_path.write_text(f"{line}\ntrain.checkpoint_dir = {tmp_path / 'ckpt'}\ndata.dir = {tmp_path / 'data'}\n")
