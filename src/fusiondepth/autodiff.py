@@ -91,9 +91,9 @@ class Tensor:
         return scale(self, -1.0)
 
 
-def scalar(value, requires_grad=False):
-    """A (1,1,1,1) tensor holding one number."""
-    return Tensor(np.full((1, 1, 1, 1), value, dtype=np.float64), requires_grad=requires_grad)
+def scalar(value):
+    """A (1,1,1,1) constant holding one number."""
+    return Tensor(np.full((1, 1, 1, 1), value, dtype=np.float64))
 
 
 def _tracked(values, parents, vjp, op):
@@ -436,21 +436,21 @@ def pixel_shuffle(x, factor):
 # convolution
 
 
-def conv2d(x, weight, bias=None, stride=1, padding=None):
-    """2-D cross-correlation with square odd kernels.
+def conv2d(x, weight, bias, stride=1):
+    """2-D cross-correlation with square odd kernels and zero padding k // 2.
 
     Args:
         x: input (N, C, H, W).
         weight: filters (O, C, k, k), k odd.
-        bias: optional (1, O, 1, 1), added per output channel.
+        bias: (1, O, 1, 1), added per output channel.
         stride: 1 or 2.
-        padding: zero-pad width per border, >= 0; defaults to k // 2.
 
-    Output spatial extents follow (H + 2p - k) // stride + 1. The input is
-    lowered channel-major to cols (N, C*k*k, Ho*Wo), so `wmat @ cols` is
-    already the output in (N, O, Ho, Wo) order. The VJP closure keeps cols,
-    and wmat (O, C*k*k) as a view of the weight; for an unpadded stride-1
-    1x1 conv, cols is itself a view of x's values rather than a copy.
+    Output spatial extents follow (H + 2p - k) // stride + 1 with p = k // 2.
+    The input is lowered channel-major to cols (N, C*k*k, Ho*Wo), so
+    `wmat @ cols` is already the output in (N, O, Ho, Wo) order. The VJP
+    closure keeps cols, and wmat (O, C*k*k) as a view of the weight; for a
+    stride-1 1x1 conv (p = 0), cols is itself a view of x's values rather
+    than a copy.
     """
     n, c, h, w = x.shape
     o, cw, kh, kw = weight.shape
@@ -460,12 +460,10 @@ def conv2d(x, weight, bias=None, stride=1, padding=None):
         raise ShapeError(f"weight expects {cw} input channels, input has {c}")
     if stride not in (1, 2):
         raise ShapeError(f"stride must be 1 or 2, got {stride}")
-    if bias is not None and bias.shape != (1, o, 1, 1):
+    if bias.shape != (1, o, 1, 1):
         raise ShapeError(f"bias must be (1, {o}, 1, 1), got {bias.shape}")
     k = kh
-    p = k // 2 if padding is None else int(padding)
-    if p < 0:
-        raise ShapeError(f"padding must be >= 0, got {padding}")
+    p = k // 2
     ho = (h + 2 * p - k) // stride + 1
     wo = (w + 2 * p - k) // stride + 1
     if ho < 1 or wo < 1:
@@ -477,8 +475,7 @@ def conv2d(x, weight, bias=None, stride=1, padding=None):
     cols = windows[:, :, ::stride, ::stride].transpose(0, 1, 4, 5, 2, 3).reshape(n, c * k * k, ho * wo)
     wmat = weight.values.reshape(o, c * k * k)
     out = np.matmul(wmat, cols).reshape(n, o, ho, wo)
-    if bias is not None:
-        out += bias.values
+    out += bias.values
 
     def vjp(g):
         gmat = g.reshape(n, o, ho * wo)
@@ -489,13 +486,10 @@ def conv2d(x, weight, bias=None, stride=1, padding=None):
             for kj in range(k):
                 gpad[:, :, ki:ki + stride * ho:stride, kj:kj + stride * wo:stride] += gcols[:, :, ki, kj]
         gx = gpad[:, :, p:p + h, p:p + w] if p else gpad
-        if bias is None:
-            return gx, gw
         gb = g.sum(axis=(0, 2, 3)).reshape(1, o, 1, 1)
         return gx, gw, gb
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return _tracked(out, parents, vjp, "conv2d")
+    return _tracked(out, (x, weight, bias), vjp, "conv2d")
 
 
 # ---------------------------------------------------------------------------

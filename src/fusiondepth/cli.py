@@ -39,10 +39,6 @@ def _cmd_gen_data(args):
 
 def _cmd_train(args):
     cfg = parse_config(args.config)
-    if args.no_fusion:
-        cfg.arch.fusion_enabled = False
-    if args.no_coordconv:
-        cfg.arch.coordconv_enabled = False
     net, log_path = run_schedule(cfg, log=print)
     print(f"training log: {log_path}")
     print(f"final checkpoint: {os.path.join(cfg.checkpoint_dir, 'final.fdpt')}")
@@ -62,7 +58,7 @@ def _cmd_eval(args):
         d1 = me.compute_d1(disp, gt, mask)
         pred_depth = me.disparity_to_depth(disp, baseline, focal)
         gt_depth = me.disparity_to_depth(gt, baseline, focal)
-        row = me.compute_metrics(pred_depth, gt_depth, mask, cap=args.cap)
+        row = me.compute_metrics(pred_depth, gt_depth, mask)
         row.d1_all = d1
         rows.append(row)
     sys.stdout.write(me.format_report(rows))
@@ -100,15 +96,12 @@ def build_parser():
 
     p = sub.add_parser("train", help="run the staged training schedule")
     p.add_argument("--config", required=True, help="flat key=value config file")
-    p.add_argument("--no-fusion", action="store_true", help="disable neighbour-level fusion")
-    p.add_argument("--no-coordconv", action="store_true", help="disable coordinate channels")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--pp", action="store_true", help="mirrored-input post-processing")
-    p.add_argument("--cap", type=float, default=80.0, help="depth cap in meters")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("predict", help="predict disparity (or depth) for one image")

@@ -22,20 +22,16 @@ SSIM_C2 = 0.03 ** 2
 
 @dataclass
 class StereoSample:
-    """Rectified pair with calibration; gt_disparity, an (H, W) array in
-    pixels, is only for evaluation and never enters the loss."""
+    """Rectified pair; gt_disparity, an (H, W) array in pixels, is only for
+    evaluation and never enters the loss."""
 
     left: ad.Tensor
     right: ad.Tensor
-    baseline: float
-    focal: float
     gt_disparity: np.ndarray | None = None
 
     def __post_init__(self):
         if self.left.shape != self.right.shape:
             raise ad.ShapeError(f"stereo images differ: {self.left.shape} vs {self.right.shape}")
-        if self.baseline <= 0 or self.focal <= 0:
-            raise ValueError(f"baseline and focal must be positive, got {self.baseline}, {self.focal}")
 
 
 @dataclass
@@ -129,20 +125,19 @@ def occlusion_reg(disp):
     return ad.reduce_mean(ad.absolute(disp))
 
 
-def image_pyramid(image, scales=4):
-    """Image at full resolution plus 2x2-average-pooled halvings."""
+def image_pyramid(image):
+    """Image at full resolution plus three 2x2-average-pooled halvings."""
     out = [image]
-    for _ in range(scales - 1):
+    for _ in range(3):
         out.append(ad.avg_pool(out[-1], 2, 2))
     return out
 
 
-def total_loss(left_set, right_set, sample, weights=None):
+def total_loss(left_set, right_set, sample, weights):
     """Sum over scales of
     factor_s * (appearance + w_sm*smoothness + w_lr*consistency + w_occ*occlusion),
     each term averaged over the two eyes. A scale or term whose weight is 0 is
     not built; appearance has no weight and is always built."""
-    weights = weights if weights is not None else LossWeights()
     left_images = image_pyramid(sample.left)
     right_images = image_pyramid(sample.right)
     per_scale = []

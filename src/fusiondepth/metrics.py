@@ -39,10 +39,10 @@ def disparity_to_depth(disp, baseline, focal):
     return (baseline * focal) / np.maximum(_as_array(disp), DISP_EPS)
 
 
-def compute_metrics(pred_depth, gt_depth, mask, cap=DEPTH_CAP):
+def compute_metrics(pred_depth, gt_depth, mask):
     """Standard error/accuracy columns over masked pixels.
 
-    Depths are clamped to [MIN_DEPTH, cap] before comparison. d1_all is NaN
+    Depths are clamped to [MIN_DEPTH, DEPTH_CAP] before comparison. d1_all is NaN
     here: it is defined on disparities, see compute_d1.
     """
     pred = _as_array(pred_depth)
@@ -52,8 +52,8 @@ def compute_metrics(pred_depth, gt_depth, mask, cap=DEPTH_CAP):
         raise ValueError(f"shape mismatch: pred {pred.shape}, gt {gt.shape}, mask {valid.shape}")
     if not valid.any():
         raise ValueError("empty validity mask")
-    p = np.clip(pred[valid], MIN_DEPTH, cap)
-    g = np.clip(gt[valid], MIN_DEPTH, cap)
+    p = np.clip(pred[valid], MIN_DEPTH, DEPTH_CAP)
+    g = np.clip(gt[valid], MIN_DEPTH, DEPTH_CAP)
 
     err = p - g
     ratio = np.maximum(p / g, g / p)

@@ -56,6 +56,12 @@ class ArchConfig:
         if not 0.0 < self.d_max < math.inf:  # NaN fails too
             raise ConfigError(f"d_max must be positive and finite, got {self.d_max}")
 
+    def check_extents(self, height, width):
+        """Each encoder level halves the input, so both extents must divide 2^levels."""
+        multiple = 1 << self.num_levels
+        if height % multiple or width % multiple:
+            raise ConfigError(f"input extents {height}x{width} must be divisible by 2^{self.num_levels} = {multiple}")
+
 
 # ---------------------------------------------------------------------------
 # flat `key = value` config text
@@ -423,11 +429,7 @@ class DepthNet:
     # -- evaluation ----------------------------------------------------
 
     def encode(self, image):
-        L = self.cfg.num_levels
-        n, c, h, w = image.shape
-        multiple = 1 << L
-        if h % multiple or w % multiple:
-            raise ConfigError(f"input extents {h}x{w} must be divisible by 2^{L} = {multiple}")
+        self.cfg.check_extents(*image.shape[2:])
         pyramid = []
         x = image
         for conv1, conv2 in self.encoder:

@@ -21,6 +21,10 @@ from .losses import StereoSample
 
 TEXTURE_KINDS = ("checker", "noise", "gradient")
 
+# the synthetic rig; loaded data takes its calibration from manifest.txt
+BASELINE = 0.5
+FOCAL = 480.0
+
 
 class SceneError(ValueError):
     pass
@@ -37,8 +41,6 @@ class Layer:
 class SceneSpec:
     seed: int
     layers: list
-    baseline: float = 0.5
-    focal: float = 480.0
     height: int = 64
     width: int = 64
 
@@ -134,7 +136,7 @@ def make_texture(rng, kind, height, width, coarseness=1.0, tint=0.0):
 
 
 def _layer_disparity(layer, spec):
-    d = spec.baseline * spec.focal / layer.depth
+    d = BASELINE * FOCAL / layer.depth
     if d > 0.3 * spec.width:
         raise SceneError(
             f"layer at depth {layer.depth} has disparity {d:.2f} px, over 30% of width {spec.width}"
@@ -168,8 +170,6 @@ def render_stereo(spec: SceneSpec) -> StereoSample:
     return StereoSample(
         left=ad.Tensor(left.transpose(2, 0, 1)[None]),
         right=ad.Tensor(right.transpose(2, 0, 1)[None]),
-        baseline=spec.baseline,
-        focal=spec.focal,
         gt_disparity=gt,
     )
 
@@ -198,11 +198,11 @@ def nonoccluded_mask(gt_disparity):
     return mask
 
 
-def random_scene(seed, width=64, height=64, baseline=0.5, focal=480.0, two_layer=False):
+def random_scene(seed, width=64, height=64, two_layer=False):
     """A generated SceneSpec: full-frame background, optionally one nearer
     rectangle. Disparities are integers in 4..9 px (depth = bf/d)."""
     rng = np.random.default_rng(seed)
-    bf = baseline * focal
+    bf = BASELINE * FOCAL
     d_bg = int(rng.integers(4, 7))
     layers = [
         Layer(depth=bf / d_bg, texture=("gradient", "noise")[int(rng.integers(0, 2))],
@@ -218,13 +218,12 @@ def random_scene(seed, width=64, height=64, baseline=0.5, focal=480.0, two_layer
             Layer(depth=bf / d_fg, texture=("checker", "noise")[int(rng.integers(0, 2))],
                   rect=(top, col, lh, lw))
         )
-    return SceneSpec(seed=seed, layers=layers, baseline=baseline, focal=focal,
-                     height=height, width=width)
+    return SceneSpec(seed=seed, layers=layers, height=height, width=width)
 
 
 # ---------------------------------------------------------------------------
 # dataset directory layout: {index:06}_left.ppm / _right.ppm / _disp.pgm
-# plus manifest.txt carrying calibration and the index list.
+# plus manifest.txt carrying the rig's calibration and the index list.
 
 
 def _image_array(t):
@@ -233,23 +232,16 @@ def _image_array(t):
 
 def write_dataset(directory, specs):
     os.makedirs(directory, exist_ok=True)
-    baseline = focal = None
     lines = []
     for index, spec in enumerate(specs):
         sample = render_stereo(spec)
-        if baseline is None:
-            baseline, focal = sample.baseline, sample.focal
-        elif (baseline, focal) != (sample.baseline, sample.focal):
-            raise SceneError("all scenes in a dataset must share calibration")
         netpbm.write_ppm(os.path.join(directory, f"{index:06}_left.ppm"), _image_array(sample.left))
         netpbm.write_ppm(os.path.join(directory, f"{index:06}_right.ppm"), _image_array(sample.right))
         netpbm.write_pgm16(os.path.join(directory, f"{index:06}_disp.pgm"), sample.gt_disparity)
         lines.append(f"{index:06}")
-    if baseline is None:
-        baseline, focal = 0.5, 480.0
     with open(os.path.join(directory, "manifest.txt"), "w") as f:
-        f.write(f"baseline={baseline}\n")
-        f.write(f"focal={focal}\n")
+        f.write(f"baseline={BASELINE}\n")
+        f.write(f"focal={FOCAL}\n")
         for line in lines:
             f.write(line + "\n")
 
@@ -297,8 +289,6 @@ def load_dataset(directory):
             StereoSample(
                 left=ad.Tensor(left.transpose(2, 0, 1)[None]),
                 right=ad.Tensor(right.transpose(2, 0, 1)[None]),
-                baseline=baseline,
-                focal=focal,
                 gt_disparity=disp,
             )
         )

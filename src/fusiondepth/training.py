@@ -49,6 +49,8 @@ class TrainConfig:
             raise ConfigError(f"eps must be positive, got {self.eps}")
         if self.batch_size < 1:
             raise ConfigError(f"batch size must be >= 1, got {self.batch_size}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def stage_plan(cfg):
@@ -60,14 +62,12 @@ def stage_plan(cfg):
 
 
 class Adam:
-    """Bias-corrected Adam over a fixed list of leaf tensors."""
+    """Bias-corrected Adam over a fixed list of leaf tensors, with the lr,
+    betas and eps of a TrainConfig."""
 
-    def __init__(self, tensors, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, tensors, cfg):
         self.tensors = list(tensors)
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+        self.lr, self.beta1, self.beta2, self.eps = cfg.lr, cfg.beta1, cfg.beta2, cfg.eps
         self.step_count = 0
         self.m = [np.zeros_like(t.values) for t in self.tensors]
         self.v = [np.zeros_like(t.values) for t in self.tensors]
@@ -94,8 +94,6 @@ def _stack_samples(chunk):
     return StereoSample(
         left=ad.Tensor(np.concatenate([s.left.values for s in chunk])),
         right=ad.Tensor(np.concatenate([s.right.values for s in chunk])),
-        baseline=chunk[0].baseline,
-        focal=chunk[0].focal,
     )
 
 
@@ -120,10 +118,15 @@ def run_schedule(cfg: TrainConfig, log=None):
     samples, _, _ = scenes.load_dataset(cfg.dataset_dir)
     if not samples:
         raise ConfigError(f"dataset at {cfg.dataset_dir} is empty")
+    for height, width in {s.left.shape[2:] for s in samples}:
+        try:
+            cfg.arch.check_extents(height, width)
+        except ConfigError as e:
+            raise ConfigError(f"dataset at {cfg.dataset_dir}: {e}") from None
     os.makedirs(cfg.checkpoint_dir, exist_ok=True)
 
     net = DepthNet(cfg.arch, seed=cfg.seed)
-    opt = Adam([t for _, t in net.parameters()], cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
+    opt = Adam([t for _, t in net.parameters()], cfg)
     rng = np.random.default_rng(cfg.seed)
 
     log_path = os.path.join(cfg.checkpoint_dir, "train_log.csv")

@@ -99,7 +99,7 @@ def op_checks(seed):
         ("avg_pool_s2", lambda: m(ad.avg_pool(x_img, 2, 2)), [x_img]),
         ("pixel_shuffle", lambda: m(ad.pixel_shuffle(shuffle_in, 2)), [shuffle_in]),
         ("conv2d", lambda: m(ad.conv2d(x_img, w1, bias)), [x_img, w1, bias]),
-        ("conv2d_s2", lambda: m(ad.conv2d(x_img, w2, stride=2)), [x_img, w2]),
+        ("conv2d_s2", lambda: m(ad.conv2d(x_img, w2, bias, stride=2)), [x_img, w2, bias]),
         ("grid_sample", lambda: m(ad.grid_sample_bilinear(src, offs)), [src, offs]),
     ]
 
@@ -113,7 +113,7 @@ def composite_loss_check(seed):
     def build():
         left_set = net.forward(sample.left)
         right_set = net.forward(sample.right)
-        return ls.total_loss(left_set, right_set, sample)
+        return ls.total_loss(left_set, right_set, sample, ls.LossWeights())
 
     params = dict(net.parameters())
     names = [
@@ -274,16 +274,17 @@ def valid_report_lines(text, n_samples):
 @pytest.mark.slow
 def test_criterion_5(recovery, tmp_path, capsys):
     details = []
-    for flag in ("--no-fusion", "--no-coordconv"):
-        label = flag.lstrip("-")
+    for key in ("fusion", "coordconv"):
+        label = f"no-{key}"
         ckpt_dir = tmp_path / label
         cfg_path = tmp_path / f"{label}.cfg"
         cfg_path.write_text(
+            f"arch.{key} = false\n"
             f"train.stage_epochs = {ABLATION_EPOCHS}\n"
             f"train.checkpoint_dir = {ckpt_dir}\n"
             f"data.dir = {recovery.data}\n"
         )
-        assert cli.main(["train", "--config", str(cfg_path), flag]) == 0
+        assert cli.main(["train", "--config", str(cfg_path)]) == 0
         capsys.readouterr()
         code = cli.main(["eval", "--checkpoint", str(ckpt_dir / "final.fdpt"),
                          "--data", recovery.data, "--pp"])

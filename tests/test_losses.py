@@ -22,11 +22,7 @@ def rand_image(seed, shape=(1, 3, 8, 8)):
 class TestStereoSample:
     def test_extent_mismatch_rejected(self):
         with pytest.raises(ad.ShapeError):
-            ls.StereoSample(const_image(0.0), const_image(0.0, (1, 3, 8, 16)), 0.5, 480.0)
-
-    def test_calibration_positive(self):
-        with pytest.raises(ValueError):
-            ls.StereoSample(const_image(0.0), const_image(0.0), -1.0, 480.0)
+            ls.StereoSample(const_image(0.0), const_image(0.0, (1, 3, 8, 16)))
 
 
 class TestReconstruct:
@@ -180,7 +176,7 @@ def zero_disparity_sets(h=32, w=32):
 class TestTotalLoss:
     def sample(self, seed=8, h=32, w=32):
         img = rand_image(seed, (1, 3, h, w))
-        return ls.StereoSample(img, ad.Tensor(img.values.copy()), 0.5, 480.0)
+        return ls.StereoSample(img, ad.Tensor(img.values.copy()))
 
     def test_perfect_reconstruction_zero(self):
         left_set, right_set = zero_disparity_sets()
@@ -203,7 +199,7 @@ class TestTotalLoss:
         fine_tune = ls.LossWeights(smoothness=0.0, occlusion=0.0)
         loss = ls.total_loss(left_set, right_set, sample, fine_tune)
         # smoothness is the only term that uses exp: a zero weight leaves it off the tape
-        assert "exp" in tape_ops(ls.total_loss(left_set, right_set, sample))
+        assert "exp" in tape_ops(ls.total_loss(left_set, right_set, sample, ls.LossWeights()))
         assert "exp" not in tape_ops(loss)
         # and the value matches assembling appearance and left-right by hand
         w = ls.LossWeights()
@@ -224,13 +220,13 @@ class TestTotalLoss:
         rng = np.random.default_rng(10)
         maps_l = [ad.Tensor(rng.uniform(0.01, 0.25, (1, 1, 32 >> s, 32 >> s))) for s in range(4)]
         maps_r = [ad.Tensor(rng.uniform(0.01, 0.25, (1, 1, 32 >> s, 32 >> s))) for s in range(4)]
-        loss = ls.total_loss(DisparitySet(maps_l), DisparitySet(maps_r), self.sample(11))
+        loss = ls.total_loss(DisparitySet(maps_l), DisparitySet(maps_r), self.sample(11), ls.LossWeights())
         assert np.isfinite(loss.item()) and loss.item() > 0.0
 
     def test_scale_subset_sums_only_those_scales(self):
         sample = self.sample(13)
         sets = random_disparity_sets(12)
-        all_scales = ls.total_loss(*sets, sample).item()
+        all_scales = ls.total_loss(*sets, sample, ls.LossWeights()).item()
         f = ls.LossWeights().scale_factors
         one_hot = [tuple(f[t] if t == s else 0.0 for t in range(4)) for s in range(4)]
         per_scale = [ls.total_loss(*sets, sample, ls.LossWeights(scale_factors=fs)).item() for fs in one_hot]

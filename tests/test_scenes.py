@@ -9,6 +9,8 @@ from fusiondepth import autodiff as ad
 from fusiondepth import losses as ls
 from fusiondepth import netpbm
 from fusiondepth.scenes import (
+    BASELINE,
+    FOCAL,
     Layer,
     SceneError,
     SceneSpec,
@@ -20,7 +22,7 @@ from fusiondepth.scenes import (
     write_dataset,
 )
 
-BF = 0.5 * 480.0  # default calibration product, disparity = 240 / depth
+BF = BASELINE * FOCAL  # the rig's calibration product, disparity = 240 / depth
 
 
 class TestNetpbm:
@@ -262,13 +264,6 @@ class TestDataset:
         where = f"{tmp_path / 'manifest.txt'}:{lineno}: "
         with pytest.raises(SceneError, match=re.escape(where) + f".*{reason}"):
             read_manifest(tmp_path)
-
-    def test_mixed_calibration_rejected(self, tmp_path):
-        bad = random_scene(0)
-        bad.baseline = 0.25
-        bad.layers[0].depth /= 2  # keep the disparity integral
-        with pytest.raises(SceneError):
-            write_dataset(tmp_path, [random_scene(1), bad])
 
     def test_empty_dataset(self, tmp_path):
         write_dataset(tmp_path, [])

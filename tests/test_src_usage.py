@@ -1,6 +1,7 @@
 """src/ keeps only what src/ uses: every top-level function and class, and
 every non-dunder method, is named (as a name or an attribute) somewhere in
-src/fusiondepth. Code that only tests reach fails here unless it is
+src/fusiondepth, and every parameter with a default is passed by some call
+in src/fusiondepth. Code that only tests reach fails here unless it is
 allowlisted with a reason."""
 
 import ast
@@ -13,6 +14,11 @@ ALLOWED = {
     "default_config_text": "the README's way to write a config",
 }
 
+# "callable(parameter)": a class's __init__ is called by the class name
+ALLOWED_UNPASSED = {
+    "main(argv)": "the console-script entry point reads sys.argv; perfbench and the tests pass argv",
+}
+
 
 def definitions(tree):
     """(qualified name, bare name) of each top-level def and class and each non-dunder method."""
@@ -23,6 +29,41 @@ def definitions(tree):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not (item.name.startswith("__") and item.name.endswith("__")):
                     yield f"{node.name}.{item.name}", item.name
+
+
+def defaulted_parameters(tree):
+    """(callable name, parameter, index among a caller's positional arguments
+    or None if keyword-only) for each parameter with a default of each
+    top-level def and each method."""
+    functions = [(node.name, node, 0) for node in tree.body if isinstance(node, ast.FunctionDef)]
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            functions += [(node.name if item.name == "__init__" else item.name, item, 1)
+                          for item in node.body if isinstance(item, ast.FunctionDef)]
+    for name, fn, bound in functions:
+        positional = fn.args.posonlyargs + fn.args.args
+        for index in range(len(positional) - len(fn.args.defaults), len(positional)):
+            yield name, positional[index].arg, index - bound
+        for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+            if default is not None:
+                yield name, arg.arg, None
+
+
+def passes(call, parameter, index):
+    """Whether a call sets the parameter, counting *args and **kwargs as setting everything."""
+    if any(isinstance(arg, ast.Starred) for arg in call.args) or any(k.arg is None for k in call.keywords):
+        return True
+    return any(k.arg == parameter for k in call.keywords) or (index is not None and len(call.args) > index)
+
+
+def unpassed_parameters():
+    trees = [ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))]
+    calls = {}
+    for node in (node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Call)):
+        callee = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+        calls.setdefault(callee, []).append(node)
+    return {f"{name}({parameter})" for tree in trees for name, parameter, index in defaulted_parameters(tree)
+            if not any(passes(call, parameter, index) for call in calls.get(name, []))}
 
 
 def scan():
@@ -46,3 +87,14 @@ def test_allowlist_entries_are_still_unused_definitions():
     for name in ALLOWED:
         assert name in names, f"{name} is no longer defined; drop it from ALLOWED"
         assert name not in named, f"{name} is now named in src/; drop it from ALLOWED"
+
+
+def test_every_defaulted_parameter_is_passed_in_src():
+    unpassed = sorted(unpassed_parameters() - set(ALLOWED_UNPASSED))
+    assert not unpassed, "parameters with a default that no call in src/ passes: " + ", ".join(unpassed)
+
+
+def test_unpassed_allowlist_entries_are_still_unpassed():
+    unpassed = unpassed_parameters()
+    for entry in ALLOWED_UNPASSED:
+        assert entry in unpassed, f"{entry} is now passed in src/ or gone; drop it from ALLOWED_UNPASSED"

@@ -1,6 +1,7 @@
 """Optimizer arithmetic, staged schedule behavior, config parsing, CLI wiring."""
 
 import os
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from fusiondepth import autodiff as ad
 from fusiondepth import cli
 from fusiondepth import training as tr
-from fusiondepth.network import ArchConfig
+from fusiondepth.network import ARCH_KEYS, ArchConfig, load_checkpoint
 from fusiondepth.scenes import random_scene, render_stereo, write_dataset
 
 
@@ -21,19 +22,19 @@ class TestAdam:
     def test_first_step_magnitude(self):
         # bias correction makes the first update lr-sized regardless of gradient scale
         p = leaf(1.0)
-        opt = tr.Adam([p], lr=0.1)
+        opt = tr.Adam([p], tr.TrainConfig(lr=0.1))
         p.grad = np.full(p.shape, 1.0)
         opt.step()
         assert p.values[0, 0, 0, 0] == pytest.approx(0.9, abs=1e-8)
         p2 = leaf(1.0)
-        opt2 = tr.Adam([p2], lr=0.1)
+        opt2 = tr.Adam([p2], tr.TrainConfig(lr=0.1))
         p2.grad = np.full(p2.shape, 1e-3)
         opt2.step()
         assert p2.values[0, 0, 0, 0] == pytest.approx(0.9, abs=1e-5)
 
     def test_step_counter_and_zero_grad(self):
         p = leaf(1.0)
-        opt = tr.Adam([p])
+        opt = tr.Adam([p], tr.TrainConfig())
         p.grad = np.ones(p.shape)
         opt.step()
         assert opt.step_count == 1
@@ -42,7 +43,7 @@ class TestAdam:
 
     def test_missing_gradient_keeps_momentum(self):
         p = leaf(1.0)
-        opt = tr.Adam([p], lr=0.1)
+        opt = tr.Adam([p], tr.TrainConfig(lr=0.1))
         p.grad = np.ones(p.shape)
         opt.step()
         after_first = p.values.copy()
@@ -55,7 +56,7 @@ class TestAdam:
         runs = []
         for _ in range(2):
             p = leaf(0.5)
-            opt = tr.Adam([p], lr=0.01)
+            opt = tr.Adam([p], tr.TrainConfig(lr=0.01))
             for k in range(5):
                 p.grad = np.full(p.shape, 0.3 * (k + 1))
                 opt.step()
@@ -184,7 +185,7 @@ class TestBatch:
         def loss_and_grad(sample):
             for t in leaves:
                 t.grad = None
-            loss = tr.total_loss(net.forward(sample.left), net.forward(sample.right), sample)
+            loss = tr.total_loss(net.forward(sample.left), net.forward(sample.right), sample, tr.LossWeights())
             ad.backward(loss)
             return loss.item(), np.concatenate([t.grad.ravel() for t in leaves])
 
@@ -319,7 +320,7 @@ class TestCli:
     @pytest.mark.parametrize("line", ["loss.scale_factors = 1.0, 0.5", "loss.alpha_ssim = 1.5",
                                       "loss.smoothness = -1", "train.lr = nan", "train.lr = inf",
                                       "train.beta1 = 1.0", "train.beta2 = -0.1", "train.eps = 0",
-                                      "arch.d_max = nan"])
+                                      "arch.d_max = nan", "train.seed = -1"])
     def test_invalid_loss_weights_exit_1_before_training(self, tmp_path, capsys, line):
         cfg_path = tmp_path / "train.cfg"
         cfg_path.write_text(f"{line}\ntrain.checkpoint_dir = {tmp_path / 'ckpt'}\ndata.dir = {tmp_path / 'data'}\n")
@@ -327,6 +328,49 @@ class TestCli:
         out, err = capsys.readouterr()
         assert err.startswith(f"error: {cfg_path}: ") and "epoch" not in out
         assert not (tmp_path / "ckpt").exists()
+
+    def test_indivisible_extents_exit_1_before_training(self, tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        write_dataset(data_dir, [random_scene(0, width=48, height=48)])
+        cfg_path = tmp_path / "train.cfg"
+        cfg_path.write_text(f"train.checkpoint_dir = {tmp_path / 'ckpt'}\ndata.dir = {data_dir}\n")
+        assert cli.main(["train", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: dataset at {data_dir}: input extents 48x48 must be divisible by 2^5")
+        assert not (tmp_path / "ckpt").exists()
+
+    @pytest.mark.parametrize("key", ["fusion", "coordconv", "refinement"])
+    def test_ablation_key_trains_and_evaluates(self, tmp_path, capsys, key):
+        data_dir = tmp_path / "data"
+        write_dataset(data_dir, [random_scene(s, width=32, height=32) for s in range(2)])
+        cfg_path = tmp_path / "train.cfg"
+        cfg_path.write_text(
+            "arch.levels = 3\n"
+            "arch.widths = 4, 6, 8\n"
+            f"arch.{key} = false\n"
+            "train.stage_epochs = 1, 1, 1\n"
+            f"train.checkpoint_dir = {tmp_path / 'ckpt'}\n"
+            f"data.dir = {data_dir}\n"
+        )
+        assert cli.main(["train", "--config", str(cfg_path)]) == 0
+        final = tmp_path / "ckpt" / "final.fdpt"
+        _, field = ARCH_KEYS[f"arch.{key}"]
+        assert getattr(load_checkpoint(final).cfg, field) is False
+        capsys.readouterr()
+        assert cli.main(["eval", "--checkpoint", str(final), "--data", str(data_dir), "--pp"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 + 2 + 1
+        assert all(np.isfinite([float(v) for v in line.split(",")]).all() for line in lines[1:])
+
+    def test_readme_commands_parse(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = readme.split("```\n")[1::2]
+        commands = [shlex.split(line) for block in blocks for line in block.replace("\\\n", " ").splitlines()
+                    if line.startswith("fusiondepth ")]
+        assert len(commands) >= 5
+        parser = cli.build_parser()
+        for argv in commands:
+            parser.parse_args(argv[1:])  # argparse exits on anything it cannot parse
 
     def test_runtime_error_exits_1(self, tmp_path, capsys):
         code = cli.main(["eval", "--checkpoint", str(tmp_path / "no.fdpt"),
