@@ -306,15 +306,6 @@ def clamp(x, lo, hi):
     return _tracked(out, (x,), vjp, "clamp")
 
 
-def sqrt(x):
-    out = np.sqrt(x.values)
-
-    def vjp(g):
-        return (0.5 * g / out,)
-
-    return _tracked(out, (x,), vjp, "sqrt")
-
-
 # ---------------------------------------------------------------------------
 # reductions and layout ops
 

@@ -6,24 +6,20 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
-from . import autodiff as ad
 from . import metrics as me
 from . import netpbm, scenes
-from .network import load_checkpoint
+from .network import image_batch, load_checkpoint
 from .training import parse_config, run_schedule
 
 
 def _disparity_px(net, image, use_pp):
-    """Scale-0 disparity in pixels, optionally post-processed with the
-    mirrored-input pass."""
-    width = image.shape[3]
-    disp = net.forward(image).maps[0].values[0, 0] * width
+    """Scale-0 disparity in pixels of an (H, W, 3) image, optionally
+    post-processed with the mirrored-input pass."""
+    width = image.shape[1]
+    disp = net.forward(image_batch([image])).maps[0].values[0, 0] * width
     if not use_pp:
         return disp
-    flipped = ad.Tensor(np.ascontiguousarray(image.values[:, :, :, ::-1]))
-    disp_flipped = net.forward(flipped).maps[0].values[0, 0] * width
+    disp_flipped = net.forward(image_batch([image[:, ::-1]])).maps[0].values[0, 0] * width
     return me.postprocess(disp, disp_flipped)
 
 
@@ -48,8 +44,7 @@ def _cmd_train(args):
 def _cmd_eval(args):
     net = load_checkpoint(args.checkpoint)
     samples, baseline, focal = scenes.load_dataset(args.data)
-    if not samples:
-        raise ValueError(f"dataset at {args.data} is empty")
+    net.cfg.check_images([s.left for s in samples], f"dataset at {args.data}")
     rows = []
     for sample in samples:
         disp = _disparity_px(net, sample.left, args.pp)
@@ -67,7 +62,8 @@ def _cmd_eval(args):
 
 def _cmd_predict(args):
     net = load_checkpoint(args.checkpoint)
-    image = ad.Tensor(netpbm.read_ppm(args.image).transpose(2, 0, 1)[None])
+    image = netpbm.read_ppm(args.image)
+    net.cfg.check_images([image], args.image)
     disp = _disparity_px(net, image, args.pp)
     if args.depth:
         baseline, focal, _ = scenes.read_manifest(os.path.dirname(os.path.abspath(args.image)))

@@ -11,27 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import autodiff as ad
 from .network import ConfigError
 
 SSIM_C1 = 0.01 ** 2
 SSIM_C2 = 0.03 ** 2
-
-
-@dataclass
-class StereoSample:
-    """Rectified pair; gt_disparity, an (H, W) array in pixels, is only for
-    evaluation and never enters the loss."""
-
-    left: ad.Tensor
-    right: ad.Tensor
-    gt_disparity: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.left.shape != self.right.shape:
-            raise ad.ShapeError(f"stereo images differ: {self.left.shape} vs {self.right.shape}")
 
 
 @dataclass
@@ -133,13 +117,15 @@ def image_pyramid(image):
     return out
 
 
-def total_loss(left_set, right_set, sample, weights):
+def total_loss(left_set, right_set, left, right, weights):
     """Sum over scales of
     factor_s * (appearance + w_sm*smoothness + w_lr*consistency + w_occ*occlusion),
     each term averaged over the two eyes. A scale or term whose weight is 0 is
-    not built; appearance has no weight and is always built."""
-    left_images = image_pyramid(sample.left)
-    right_images = image_pyramid(sample.right)
+    not built; appearance has no weight and is always built. `left` and
+    `right` are the (N, 3, H, W) image Tensors the two sets were predicted
+    from."""
+    left_images = image_pyramid(left)
+    right_images = image_pyramid(right)
     per_scale = []
     for s, factor in enumerate(weights.scale_factors):
         if not factor:

@@ -12,7 +12,6 @@ import numpy as np
 MIN_DEPTH = 1e-3
 DEPTH_CAP = 80.0
 DISP_EPS = 1e-6
-CSV_COLUMNS = "abs_rel,sq_rel,rmse,rmse_log,d1_all,delta1,delta2,delta3"
 
 
 @dataclass
@@ -28,6 +27,9 @@ class DepthMetrics:
 
     def row(self):
         return [getattr(self, f.name) for f in fields(self)]
+
+
+CSV_COLUMNS = ",".join(f.name for f in fields(DepthMetrics))
 
 
 def _as_array(x):

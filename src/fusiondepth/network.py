@@ -62,6 +62,14 @@ class ArchConfig:
         if height % multiple or width % multiple:
             raise ConfigError(f"input extents {height}x{width} must be divisible by 2^{self.num_levels} = {multiple}")
 
+    def check_images(self, images, where):
+        """check_extents for every (H, W, 3) image, naming `where` (a path) in the error."""
+        for height, width in {image.shape[:2] for image in images}:
+            try:
+                self.check_extents(height, width)
+            except ConfigError as e:
+                raise ConfigError(f"{where}: {e}") from None
+
 
 # ---------------------------------------------------------------------------
 # flat `key = value` config text
@@ -157,23 +165,25 @@ def coord_channels(height, width):
     """The three hard-coded channels: row ramp, column ramp, radius.
 
     Ramps span [-1, 1]; the radius sqrt((i - ci)^2 + (j - cj)^2) is measured
-    from (ci, cj) = (h/2, w/2) and normalized by the largest corner radius so
-    it lands in [0, 1]. Returns a (1, 3, h, w) array.
+    from (ci, cj) = (h/2, w/2) and normalized by the largest corner radius,
+    that of corner (0, 0), so it lands in [0, 1]. Returns a (1, 3, h, w) array.
     """
     ci, cj = height / 2.0, width / 2.0
     rows = np.linspace(-1.0, 1.0, height) if height > 1 else np.zeros(1)
     cols = np.linspace(-1.0, 1.0, width) if width > 1 else np.zeros(1)
     ii, jj = np.meshgrid(np.arange(height, dtype=np.float64), np.arange(width, dtype=np.float64), indexing="ij")
-    radius = np.sqrt((ii - ci) ** 2 + (jj - cj) ** 2)
-    corners = [(0.0, 0.0), (0.0, width - 1.0), (height - 1.0, 0.0), (height - 1.0, width - 1.0)]
-    rmax = max(np.hypot(r - ci, c - cj) for r, c in corners)
-    if rmax > 0.0:
-        radius = radius / rmax
+    radius = np.sqrt((ii - ci) ** 2 + (jj - cj) ** 2) / np.hypot(ci, cj)
     return np.stack(
         [np.broadcast_to(rows[:, None], (height, width)),
          np.broadcast_to(cols[None, :], (height, width)),
          radius]
     )[None]
+
+
+def image_batch(images):
+    """The (N, 3, H, W) input Tensor for a list of (H, W, 3) images."""
+    # a view of the channel-last stack, not a contiguous copy: the loss's avg_pool means sum in this memory order
+    return ad.Tensor(np.stack(images).transpose(0, 3, 1, 2))
 
 
 @functools.lru_cache(maxsize=64)

@@ -11,13 +11,11 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from . import netpbm
-from .losses import StereoSample
 
 TEXTURE_KINDS = ("checker", "noise", "gradient")
 
@@ -28,6 +26,20 @@ FOCAL = 480.0
 
 class SceneError(ValueError):
     pass
+
+
+@dataclass
+class StereoSample:
+    """Rectified pair of (H, W, 3) images plus gt_disparity, an (H, W) array
+    in pixels that is only for evaluation and never enters the loss."""
+
+    left: np.ndarray
+    right: np.ndarray
+    gt_disparity: np.ndarray
+
+    def __post_init__(self):
+        if self.left.shape != self.right.shape:
+            raise SceneError(f"stereo images differ: {self.left.shape} vs {self.right.shape}")
 
 
 @dataclass
@@ -167,11 +179,7 @@ def render_stereo(spec: SceneSpec) -> StereoSample:
         r0 = max(col - d, 0)
         r1 = min(col - d + material, w)
         right[top:top + lh, r0:r1] = tex[:, r0 - (col - d):r1 - (col - d)]
-    return StereoSample(
-        left=ad.Tensor(left.transpose(2, 0, 1)[None]),
-        right=ad.Tensor(right.transpose(2, 0, 1)[None]),
-        gt_disparity=gt,
-    )
+    return StereoSample(left=left, right=right, gt_disparity=gt)
 
 
 def nonoccluded_mask(gt_disparity):
@@ -226,17 +234,13 @@ def random_scene(seed, width=64, height=64, two_layer=False):
 # plus manifest.txt carrying the rig's calibration and the index list.
 
 
-def _image_array(t):
-    return np.asarray(t.values[0].transpose(1, 2, 0))
-
-
 def write_dataset(directory, specs):
     os.makedirs(directory, exist_ok=True)
     lines = []
     for index, spec in enumerate(specs):
         sample = render_stereo(spec)
-        netpbm.write_ppm(os.path.join(directory, f"{index:06}_left.ppm"), _image_array(sample.left))
-        netpbm.write_ppm(os.path.join(directory, f"{index:06}_right.ppm"), _image_array(sample.right))
+        netpbm.write_ppm(os.path.join(directory, f"{index:06}_left.ppm"), sample.left)
+        netpbm.write_ppm(os.path.join(directory, f"{index:06}_right.ppm"), sample.right)
         netpbm.write_pgm16(os.path.join(directory, f"{index:06}_disp.pgm"), sample.gt_disparity)
         lines.append(f"{index:06}")
     with open(os.path.join(directory, "manifest.txt"), "w") as f:
@@ -278,18 +282,17 @@ def read_manifest(directory):
 
 
 def load_dataset(directory):
-    """Read every indexed sample back as StereoSamples."""
+    """Read every indexed sample back as StereoSamples; a dataset without
+    scenes is an error."""
     baseline, focal, indices = read_manifest(directory)
-    samples = []
-    for index in indices:
-        left = netpbm.read_ppm(os.path.join(directory, f"{index}_left.ppm"))
-        right = netpbm.read_ppm(os.path.join(directory, f"{index}_right.ppm"))
-        disp = netpbm.read_pgm16(os.path.join(directory, f"{index}_disp.pgm"))
-        samples.append(
-            StereoSample(
-                left=ad.Tensor(left.transpose(2, 0, 1)[None]),
-                right=ad.Tensor(right.transpose(2, 0, 1)[None]),
-                gt_disparity=disp,
-            )
+    if not indices:
+        raise SceneError(f"{os.path.join(directory, 'manifest.txt')} lists no scenes")
+    samples = [
+        StereoSample(
+            left=netpbm.read_ppm(os.path.join(directory, f"{index}_left.ppm")),
+            right=netpbm.read_ppm(os.path.join(directory, f"{index}_right.ppm")),
+            gt_disparity=netpbm.read_pgm16(os.path.join(directory, f"{index}_disp.pgm")),
         )
+        for index in indices
+    ]
     return samples, baseline, focal

@@ -16,9 +16,9 @@ import numpy as np
 
 from . import autodiff as ad
 from . import scenes
-from .losses import LossWeights, StereoSample, total_loss
-from .network import (ARCH_KEYS, ArchConfig, ConfigError, DepthNet, format_config_lines, read_config_lines,
-                      save_checkpoint)
+from .losses import LossWeights, total_loss
+from .network import (ARCH_KEYS, ArchConfig, ConfigError, DepthNet, format_config_lines, image_batch,
+                      read_config_lines, save_checkpoint)
 
 
 @dataclass
@@ -90,22 +90,14 @@ class Adam:
             t.values -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
 
-def _stack_samples(chunk):
-    return StereoSample(
-        left=ad.Tensor(np.concatenate([s.left.values for s in chunk])),
-        right=ad.Tensor(np.concatenate([s.right.values for s in chunk])),
-    )
-
-
 def _train_epoch(net, opt, samples, rng, batch_size, weights):
     order = rng.permutation(len(samples))
     total = 0.0
     for start in range(0, len(order), batch_size):
         chunk = [samples[i] for i in order[start:start + batch_size]]
-        batch = _stack_samples(chunk)
-        left_set = net.forward(batch.left)
-        right_set = net.forward(batch.right)
-        loss = total_loss(left_set, right_set, batch, weights)
+        left = image_batch([s.left for s in chunk])
+        right = image_batch([s.right for s in chunk])
+        loss = total_loss(net.forward(left), net.forward(right), left, right, weights)
         opt.zero_grad()
         ad.backward(loss)
         opt.step()
@@ -116,13 +108,7 @@ def _train_epoch(net, opt, samples, rng, batch_size, weights):
 def run_schedule(cfg: TrainConfig, log=None):
     """Train per the staged schedule; returns (net, log_path)."""
     samples, _, _ = scenes.load_dataset(cfg.dataset_dir)
-    if not samples:
-        raise ConfigError(f"dataset at {cfg.dataset_dir} is empty")
-    for height, width in {s.left.shape[2:] for s in samples}:
-        try:
-            cfg.arch.check_extents(height, width)
-        except ConfigError as e:
-            raise ConfigError(f"dataset at {cfg.dataset_dir}: {e}") from None
+    cfg.arch.check_images([s.left for s in samples], f"dataset at {cfg.dataset_dir}")
     os.makedirs(cfg.checkpoint_dir, exist_ok=True)
 
     net = DepthNet(cfg.arch, seed=cfg.seed)

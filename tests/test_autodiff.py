@@ -201,7 +201,6 @@ class TestElementwise:
             lambda t: ad.log(ad.shift(t, 3.0)),
             lambda t: ad.absolute(ad.shift(t, 2.0)),
             lambda t: ad.mul(t, t),
-            lambda t: ad.sqrt(ad.shift(t, 2.0)),
             lambda t: ad.clamp(t, -0.95, 0.95),
             lambda t: ad.scale(t, -1.7),
             lambda t: ad.shift(t, 0.3),

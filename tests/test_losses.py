@@ -19,12 +19,6 @@ def rand_image(seed, shape=(1, 3, 8, 8)):
     return ad.Tensor(np.random.default_rng(seed).uniform(0, 1, shape))
 
 
-class TestStereoSample:
-    def test_extent_mismatch_rejected(self):
-        with pytest.raises(ad.ShapeError):
-            ls.StereoSample(const_image(0.0), const_image(0.0, (1, 3, 8, 16)))
-
-
 class TestReconstruct:
     def test_zero_disparity_identity(self):
         src = rand_image(0)
@@ -174,14 +168,14 @@ def zero_disparity_sets(h=32, w=32):
 
 
 class TestTotalLoss:
-    def sample(self, seed=8, h=32, w=32):
+    def images(self, seed=8, h=32, w=32):
         img = rand_image(seed, (1, 3, h, w))
-        return ls.StereoSample(img, ad.Tensor(img.values.copy()))
+        return img, ad.Tensor(img.values.copy())
 
     def test_perfect_reconstruction_zero(self):
         left_set, right_set = zero_disparity_sets()
         weights = ls.LossWeights(smoothness=0.0, lr_consistency=0.0, occlusion=0.0)
-        loss = ls.total_loss(left_set, right_set, self.sample(), weights)
+        loss = ls.total_loss(left_set, right_set, *self.images(), weights)
         assert loss.item() == 0.0
 
     def test_empty_scales_rejected(self):
@@ -190,22 +184,22 @@ class TestTotalLoss:
 
     def test_all_scale_factors_zero_gives_zero(self):
         left_set, right_set = random_disparity_sets(9)
-        loss = ls.total_loss(left_set, right_set, self.sample(), ls.LossWeights(scale_factors=(0, 0, 0, 0)))
+        loss = ls.total_loss(left_set, right_set, *self.images(), ls.LossWeights(scale_factors=(0, 0, 0, 0)))
         assert loss.item() == 0.0
 
     def test_disabled_terms_contribute_nothing(self):
         left_set, right_set = random_disparity_sets(9, requires_grad=True)
-        sample = self.sample()
+        left, right = self.images()
         fine_tune = ls.LossWeights(smoothness=0.0, occlusion=0.0)
-        loss = ls.total_loss(left_set, right_set, sample, fine_tune)
+        loss = ls.total_loss(left_set, right_set, left, right, fine_tune)
         # smoothness is the only term that uses exp: a zero weight leaves it off the tape
-        assert "exp" in tape_ops(ls.total_loss(left_set, right_set, sample, ls.LossWeights()))
+        assert "exp" in tape_ops(ls.total_loss(left_set, right_set, left, right, ls.LossWeights()))
         assert "exp" not in tape_ops(loss)
         # and the value matches assembling appearance and left-right by hand
         w = ls.LossWeights()
         manual = 0.0
-        li = ls.image_pyramid(sample.left)
-        ri = ls.image_pyramid(sample.right)
+        li = ls.image_pyramid(left)
+        ri = ls.image_pyramid(right)
         for s in range(4):
             d_l, d_r = left_set.maps[s], right_set.maps[s]
             app = (
@@ -220,16 +214,16 @@ class TestTotalLoss:
         rng = np.random.default_rng(10)
         maps_l = [ad.Tensor(rng.uniform(0.01, 0.25, (1, 1, 32 >> s, 32 >> s))) for s in range(4)]
         maps_r = [ad.Tensor(rng.uniform(0.01, 0.25, (1, 1, 32 >> s, 32 >> s))) for s in range(4)]
-        loss = ls.total_loss(DisparitySet(maps_l), DisparitySet(maps_r), self.sample(11), ls.LossWeights())
+        loss = ls.total_loss(DisparitySet(maps_l), DisparitySet(maps_r), *self.images(11), ls.LossWeights())
         assert np.isfinite(loss.item()) and loss.item() > 0.0
 
     def test_scale_subset_sums_only_those_scales(self):
-        sample = self.sample(13)
+        images = self.images(13)
         sets = random_disparity_sets(12)
-        all_scales = ls.total_loss(*sets, sample, ls.LossWeights()).item()
+        all_scales = ls.total_loss(*sets, *images, ls.LossWeights()).item()
         f = ls.LossWeights().scale_factors
         one_hot = [tuple(f[t] if t == s else 0.0 for t in range(4)) for s in range(4)]
-        per_scale = [ls.total_loss(*sets, sample, ls.LossWeights(scale_factors=fs)).item() for fs in one_hot]
+        per_scale = [ls.total_loss(*sets, *images, ls.LossWeights(scale_factors=fs)).item() for fs in one_hot]
         assert all_scales == pytest.approx(sum(per_scale), rel=1e-12)
 
 

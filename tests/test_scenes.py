@@ -8,12 +8,14 @@ import pytest
 from fusiondepth import autodiff as ad
 from fusiondepth import losses as ls
 from fusiondepth import netpbm
+from fusiondepth.network import image_batch
 from fusiondepth.scenes import (
     BASELINE,
     FOCAL,
     Layer,
     SceneError,
     SceneSpec,
+    StereoSample,
     load_dataset,
     nonoccluded_mask,
     random_scene,
@@ -124,6 +126,12 @@ class TestSceneValidation:
             SceneSpec(seed=0, layers=[])
 
 
+class TestStereoSample:
+    def test_extent_mismatch_rejected(self):
+        with pytest.raises(SceneError, match="stereo images differ"):
+            StereoSample(np.zeros((8, 8, 3)), np.zeros((8, 16, 3)), np.zeros((8, 8)))
+
+
 class TestRenderStereo:
     def test_single_layer_ground_truth(self):
         sample = render_stereo(single_layer_spec())
@@ -133,20 +141,20 @@ class TestRenderStereo:
     def test_images_in_unit_range(self):
         sample = render_stereo(single_layer_spec(seed=3))
         for img in (sample.left, sample.right):
-            assert img.values.min() >= 0.0 and img.values.max() <= 1.0
-            assert img.shape == (1, 3, 64, 64)
+            assert img.min() >= 0.0 and img.max() <= 1.0
+            assert img.shape == (64, 64, 3)
 
     def test_deterministic(self):
         a = render_stereo(single_layer_spec(seed=7))
         b = render_stereo(single_layer_spec(seed=7))
-        assert np.array_equal(a.left.values, b.left.values)
-        assert np.array_equal(a.right.values, b.right.values)
+        assert np.array_equal(a.left, b.left)
+        assert np.array_equal(a.right, b.right)
         assert np.array_equal(a.gt_disparity, b.gt_disparity)
 
     def test_seed_changes_content(self):
         a = render_stereo(single_layer_spec(seed=1))
         b = render_stereo(single_layer_spec(seed=2))
-        assert not np.array_equal(a.left.values, b.left.values)
+        assert not np.array_equal(a.left, b.left)
 
     def test_two_layer_composition(self):
         layers = [
@@ -163,9 +171,7 @@ class TestRenderStereo:
     def test_right_image_shifted_content(self):
         # the right view of a full-frame layer is its texture shifted by d
         sample = render_stereo(single_layer_spec(seed=9))
-        left = sample.left.values[0]
-        right = sample.right.values[0]
-        assert np.array_equal(right[:, :, : 64 - 4], left[:, :, 4:])
+        assert np.array_equal(sample.right[:, : 64 - 4], sample.left[:, 4:])
 
     def test_warp_consistency(self):
         for seed in range(5):
@@ -173,9 +179,9 @@ class TestRenderStereo:
             sample = render_stereo(spec)
             gt = sample.gt_disparity
             offsets = ad.Tensor(gt[None, None] / 64.0)
-            recon = ls.reconstruct(sample.right, offsets, "left")
+            recon = ls.reconstruct(image_batch([sample.right]), offsets, "left")
             mask = nonoccluded_mask(gt)
-            err = np.abs(recon.values - sample.left.values)[0, :, mask].max()
+            err = np.abs(recon.values - image_batch([sample.left]).values)[0, :, mask].max()
             assert err < 1e-12, f"seed {seed}: warp error {err}"
 
 
@@ -238,7 +244,7 @@ class TestDataset:
         assert len(samples) == 3
         for spec, sample in zip(specs, samples):
             fresh = render_stereo(spec)
-            assert np.abs(sample.left.values - fresh.left.values).max() <= 1.0 / 255.0
+            assert np.abs(sample.left - fresh.left).max() <= 1.0 / 255.0
             assert np.array_equal(sample.gt_disparity, fresh.gt_disparity)
 
     def test_manifest_contents(self, tmp_path):
@@ -267,5 +273,5 @@ class TestDataset:
 
     def test_empty_dataset(self, tmp_path):
         write_dataset(tmp_path, [])
-        samples, baseline, focal = load_dataset(tmp_path)
-        assert samples == []
+        with pytest.raises(SceneError, match=re.escape(f"{tmp_path / 'manifest.txt'} lists no scenes")):
+            load_dataset(tmp_path)

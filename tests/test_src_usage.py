@@ -1,8 +1,8 @@
 """src/ keeps only what src/ uses: every top-level function and class, and
-every non-dunder method, is named (as a name or an attribute) somewhere in
-src/fusiondepth, and every parameter with a default is passed by some call
-in src/fusiondepth. Code that only tests reach fails here unless it is
-allowlisted with a reason."""
+every non-dunder method, is named somewhere in src/fusiondepth (as a name, or
+as an attribute of anything but an absolutely imported module such as np),
+and every parameter with a default is passed by some call in src/fusiondepth.
+Code that only tests reach fails here unless it is allowlisted with a reason."""
 
 import ast
 from pathlib import Path
@@ -66,11 +66,28 @@ def unpassed_parameters():
             if not any(passes(call, parameter, index) for call in calls.get(name, []))}
 
 
+def absolute_imports(tree):
+    """Names bound by `import x` or `from x import y`: attributes read off them
+    (np.sqrt, os.path) name something outside src/, not a definition in it."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom) and node.level == 0):
+            bound.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+    return bound
+
+
+def names_in(tree):
+    external = absolute_imports(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and not (isinstance(node.value, ast.Name) and node.value.id in external):
+            yield node.attr
+
+
 def scan():
     trees = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
-    named = {node.id if isinstance(node, ast.Name) else node.attr
-             for tree in trees.values() for node in ast.walk(tree)
-             if isinstance(node, (ast.Name, ast.Attribute))}
+    named = {name for tree in trees.values() for name in names_in(tree)}
     defined = {(file, qual, name) for file, tree in trees.items() for qual, name in definitions(tree)}
     return defined, named
 

@@ -10,8 +10,8 @@ import pytest
 from fusiondepth import autodiff as ad
 from fusiondepth import cli
 from fusiondepth import training as tr
-from fusiondepth.network import ARCH_KEYS, ArchConfig, load_checkpoint
-from fusiondepth.scenes import random_scene, render_stereo, write_dataset
+from fusiondepth.network import ARCH_KEYS, ArchConfig, DepthNet, image_batch, load_checkpoint, save_checkpoint
+from fusiondepth.scenes import SceneError, random_scene, render_stereo, write_dataset
 
 
 def leaf(value):
@@ -182,17 +182,18 @@ class TestBatch:
         net = tr.DepthNet(tiny_arch(), seed=3)
         leaves = [t for _, t in net.parameters()]
 
-        def loss_and_grad(sample):
+        def loss_and_grad(chunk):
             for t in leaves:
                 t.grad = None
-            loss = tr.total_loss(net.forward(sample.left), net.forward(sample.right), sample, tr.LossWeights())
+            left = image_batch([s.left for s in chunk])
+            right = image_batch([s.right for s in chunk])
+            loss = tr.total_loss(net.forward(left), net.forward(right), left, right, tr.LossWeights())
             ad.backward(loss)
             return loss.item(), np.concatenate([t.grad.ravel() for t in leaves])
 
-        batch = tr._stack_samples(samples)
-        assert batch.left.shape[0] == 2 and batch.right.shape[0] == 2
-        loss, grad = loss_and_grad(batch)
-        (loss_0, grad_0), (loss_1, grad_1) = (loss_and_grad(s) for s in samples)
+        assert image_batch([s.left for s in samples]).shape == (2, 3, 32, 32)
+        loss, grad = loss_and_grad(samples)
+        (loss_0, grad_0), (loss_1, grad_1) = (loss_and_grad([s]) for s in samples)
         assert loss == pytest.approx((loss_0 + loss_1) / 2, rel=1e-12)
         mean_grad = (grad_0 + grad_1) / 2
         assert np.linalg.norm(grad - mean_grad) <= 1e-12 * np.linalg.norm(mean_grad)
@@ -263,7 +264,7 @@ class TestRunSchedule:
         data_dir = str(tmp_path / "data")
         write_dataset(data_dir, [])
         cfg = tr.TrainConfig(dataset_dir=data_dir, arch=tiny_arch())
-        with pytest.raises(tr.ConfigError):
+        with pytest.raises(SceneError, match="lists no scenes"):
             tr.run_schedule(cfg)
 
 
@@ -338,6 +339,37 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: dataset at {data_dir}: input extents 48x48 must be divisible by 2^5")
         assert not (tmp_path / "ckpt").exists()
+
+    def test_empty_dataset_exit_1_for_train_and_eval(self, tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        assert cli.main(["gen-data", "--out", str(data_dir), "--count", "0"]) == 0
+        cfg_path = tmp_path / "train.cfg"
+        cfg_path.write_text(f"train.checkpoint_dir = {tmp_path / 'ckpt'}\ndata.dir = {data_dir}\n")
+        checkpoint = tmp_path / "net.fdpt"
+        save_checkpoint(checkpoint, DepthNet(tiny_arch()))
+        capsys.readouterr()
+        expected = f"error: {data_dir / 'manifest.txt'} lists no scenes\n"
+        assert cli.main(["train", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == expected
+        assert not (tmp_path / "ckpt").exists()
+        assert cli.main(["eval", "--checkpoint", str(checkpoint), "--data", str(data_dir)]) == 1
+        assert capsys.readouterr().err == expected
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_indivisible_extents_error_names_input(self, tmp_path, capsys, command):
+        data_dir = tmp_path / "data"
+        write_dataset(data_dir, [random_scene(0, width=48, height=48)])
+        checkpoint = tmp_path / "net.fdpt"
+        save_checkpoint(checkpoint, DepthNet(ArchConfig()))
+        image = data_dir / "000000_left.ppm"
+        out = tmp_path / "disp.pgm"
+        if command == "eval":
+            argv, where = ["eval", "--data", str(data_dir)], f"dataset at {data_dir}"
+        else:
+            argv, where = ["predict", "--image", str(image), "--out", str(out)], str(image)
+        assert cli.main(argv + ["--checkpoint", str(checkpoint)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {where}: input extents 48x48 must be divisible by 2^5")
+        assert not out.exists()
 
     @pytest.mark.parametrize("key", ["fusion", "coordconv", "refinement"])
     def test_ablation_key_trains_and_evaluates(self, tmp_path, capsys, key):
