@@ -437,11 +437,13 @@ def conv2d(x, weight, bias, stride=1):
         stride: 1 or 2.
 
     Output spatial extents follow (H + 2p - k) // stride + 1 with p = k // 2.
-    The input is lowered channel-major to cols (N, C*k*k, Ho*Wo), so
-    `wmat @ cols` is already the output in (N, O, Ho, Wo) order. The VJP
-    closure keeps cols, and wmat (O, C*k*k) as a view of the weight; for a
-    stride-1 1x1 conv (p = 0), cols is itself a view of x's values rather
-    than a copy.
+    For p > 0 the input is copied once into the middle of a zeroed
+    (N, C, H+2p, W+2p) buffer. One read-only strided view over that buffer
+    is the (N, C, k, k, Ho, Wo) window, and its reshape lowers it
+    channel-major to cols (N, C*k*k, Ho*Wo), so `wmat @ cols` is already
+    the output in (N, O, Ho, Wo) order. The VJP closure keeps cols, and wmat
+    (O, C*k*k) as a view of the weight; for a stride-1 1x1 conv (p = 0) the
+    window needs no copy, so cols is itself a view of x's values.
     """
     n, c, h, w = x.shape
     o, cw, kh, kw = weight.shape
@@ -460,10 +462,16 @@ def conv2d(x, weight, bias, stride=1):
     if ho < 1 or wo < 1:
         raise ShapeError(f"conv output would be empty for input {x.shape}, kernel {k}, stride {stride}")
 
-    padded = np.pad(x.values, ((0, 0), (0, 0), (p, p), (p, p))) if p else x.values
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (k, k), axis=(2, 3))
-    # (N, C, Ho, Wo, k, k) -> (N, C*k*k, Ho*Wo); the reshape does the copy
-    cols = windows[:, :, ::stride, ::stride].transpose(0, 1, 4, 5, 2, 3).reshape(n, c * k * k, ho * wo)
+    if p:
+        padded = np.zeros((n, c, h + 2 * p, w + 2 * p))
+        padded[:, :, p:p + h, p:p + w] = x.values
+    else:
+        padded = x.values
+    s0, s1, s2, s3 = padded.strides
+    windows = np.lib.stride_tricks.as_strided(
+        padded, (n, c, k, k, ho, wo), (s0, s1, s2, s3, stride * s2, stride * s3), writeable=False)
+    # (N, C, k, k, Ho, Wo) -> (N, C*k*k, Ho*Wo); the reshape does the copy
+    cols = windows.reshape(n, c * k * k, ho * wo)
     wmat = weight.values.reshape(o, c * k * k)
     out = np.matmul(wmat, cols).reshape(n, o, ho, wo)
     out += bias.values

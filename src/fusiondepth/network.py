@@ -517,17 +517,17 @@ def save_checkpoint(path, net):
             os.remove(tmp)
 
 
-def _read_header(path, blob):
+def _read_header(path, f, size):
     """The ArchConfig stored after the magic, and the offset of the first record."""
     off = len(CHECKPOINT_MAGIC)
-    if off + 4 > len(blob):
+    if off + 4 > size:
         raise CheckpointError(f"{path}: truncated header length at byte {off}")
-    (hlen,) = struct.unpack_from("<I", blob, off)
+    (hlen,) = struct.unpack("<I", f.read(4))
     off += 4
-    if off + hlen > len(blob):
+    if off + hlen > size:
         raise CheckpointError(f"{path}: architecture header at byte {off} runs past end of file")
     try:
-        text = blob[off:off + hlen].decode("utf-8")
+        text = f.read(hlen).decode("utf-8")
         fields = read_config_lines(text.splitlines(), ARCH_KEYS, "header")[ArchConfig]
         missing = [key for key, (_, name) in ARCH_KEYS.items() if name not in fields]
         if missing:
@@ -539,38 +539,46 @@ def _read_header(path, blob):
 
 
 def read_checkpoint(path):
-    """Read a checkpoint into its ArchConfig and an ordered {name: array} dict."""
+    """Read a checkpoint into its ArchConfig and an ordered {name: array} dict.
+
+    Every extent is checked against the file size before anything is
+    allocated, and each payload is read straight into its array, so the
+    file's bytes are held in memory once."""
     with open(path, "rb") as f:
-        blob = f.read()
-    magic = blob[:len(CHECKPOINT_MAGIC)]
-    if magic == b"FDPT1":
-        raise CheckpointError(f"{path}: FDPT1 checkpoint carries no architecture header; only FDPT2 loads")
-    if magic != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"{path}: bad magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
-    cfg, off = _read_header(path, blob)
-    state = {}
-    while off < len(blob):
-        start = off
-        if off + 2 > len(blob):
-            raise CheckpointError(f"{path}: truncated record header at byte {start}")
-        (nlen,) = struct.unpack_from("<H", blob, off)
-        off += 2
-        if off + nlen + 32 > len(blob):
-            raise CheckpointError(f"{path}: truncated record at byte {start}")
-        try:
-            name = blob[off:off + nlen].decode("utf-8")
-        except UnicodeDecodeError:
-            raise CheckpointError(f"{path}: record name at byte {off} is not utf-8") from None
-        if name in state:
-            raise CheckpointError(f"{path}: duplicate record {name!r} at byte {start}")
-        off += nlen
-        shape = struct.unpack_from("<4Q", blob, off)
-        off += 32
-        count = math.prod(shape)  # Python ints: huge extents cannot wrap to a small count
-        if 8 * count > len(blob) - off:
-            raise CheckpointError(f"{path}: payload of {name!r} at byte {off} runs past end of file")
-        state[name] = np.frombuffer(blob, dtype="<f8", count=count, offset=off).reshape(shape).copy()
-        off += 8 * count
+        size = os.fstat(f.fileno()).st_size
+        magic = f.read(len(CHECKPOINT_MAGIC))
+        if magic == b"FDPT1":
+            raise CheckpointError(f"{path}: FDPT1 checkpoint carries no architecture header; only FDPT2 loads")
+        if magic != CHECKPOINT_MAGIC:
+            raise CheckpointError(f"{path}: bad magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
+        cfg, off = _read_header(path, f, size)
+        state = {}
+        while off < size:
+            start = off
+            if off + 2 > size:
+                raise CheckpointError(f"{path}: truncated record header at byte {start}")
+            (nlen,) = struct.unpack("<H", f.read(2))
+            off += 2
+            if off + nlen + 32 > size:
+                raise CheckpointError(f"{path}: truncated record at byte {start}")
+            try:
+                name = f.read(nlen).decode("utf-8")
+            except UnicodeDecodeError:
+                raise CheckpointError(f"{path}: record name at byte {off} is not utf-8") from None
+            if name in state:
+                raise CheckpointError(f"{path}: duplicate record {name!r} at byte {start}")
+            off += nlen
+            shape = struct.unpack("<4Q", f.read(32))
+            off += 32
+            count = math.prod(shape)  # Python ints: huge extents cannot wrap to a small count
+            past_end = CheckpointError(f"{path}: payload of {name!r} at byte {off} runs past end of file")
+            if 8 * count > size - off:
+                raise past_end
+            values = np.empty(shape, "<f8")
+            if f.readinto(values) != 8 * count:  # the file shrank after fstat
+                raise past_end
+            state[name] = values
+            off += 8 * count
     return cfg, state
 
 

@@ -40,6 +40,8 @@ class StereoSample:
     def __post_init__(self):
         if self.left.shape != self.right.shape:
             raise SceneError(f"stereo images differ: {self.left.shape} vs {self.right.shape}")
+        if self.gt_disparity.shape != self.left.shape[:2]:
+            raise SceneError(f"disparity map is {self.gt_disparity.shape}, images are {self.left.shape[:2]}")
 
 
 @dataclass
@@ -287,12 +289,13 @@ def load_dataset(directory):
     baseline, focal, indices = read_manifest(directory)
     if not indices:
         raise SceneError(f"{os.path.join(directory, 'manifest.txt')} lists no scenes")
-    samples = [
-        StereoSample(
-            left=netpbm.read_ppm(os.path.join(directory, f"{index}_left.ppm")),
-            right=netpbm.read_ppm(os.path.join(directory, f"{index}_right.ppm")),
-            gt_disparity=netpbm.read_pgm16(os.path.join(directory, f"{index}_disp.pgm")),
-        )
-        for index in indices
-    ]
+    samples = []
+    for index in indices:
+        stem = os.path.join(directory, f"{index}_")
+        try:
+            samples.append(StereoSample(left=netpbm.read_ppm(stem + "left.ppm"),
+                                        right=netpbm.read_ppm(stem + "right.ppm"),
+                                        gt_disparity=netpbm.read_pgm16(stem + "disp.pgm")))
+        except SceneError as e:
+            raise SceneError(f"{stem}: {e}") from None
     return samples, baseline, focal

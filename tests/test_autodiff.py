@@ -127,6 +127,25 @@ class TestConv2dOracle:
         for got, ref in zip((out.values, *out._vjp(g)), want):
             assert np.abs(got - ref).max() < 1e-12
 
+    # the channel-last view network.image_batch builds, and a negative-stride view
+    VIEWS = {"channel_last": lambda x: np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2),
+             "reversed_columns": lambda x: x[..., ::-1]}
+
+    @pytest.mark.parametrize("view", VIEWS)
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_non_contiguous_input_matches_loops(self, view, k, stride):
+        rng = np.random.default_rng(k * 10 + stride)
+        x = self.VIEWS[view](rng.uniform(-1, 1, size=(2, 3, 7, 6)))
+        assert not x.flags.c_contiguous
+        w = rng.uniform(-1, 1, size=(4, 3, k, k))
+        b = rng.uniform(-1, 1, size=(1, 4, 1, 1))
+        out = ad.conv2d(ad.Tensor(x, requires_grad=True), ad.Tensor(w), ad.Tensor(b), stride)
+        g = rng.uniform(-1, 1, size=out.shape)
+        want = direct_conv(np.ascontiguousarray(x), w, b, g, stride)
+        for got, ref in zip((out.values, *out._vjp(g)), want):
+            assert np.abs(got - ref).max() < 1e-12
+
     @pytest.mark.parametrize("k, stride, padding", [(3, 1, 1), (3, 2, 1), (5, 2, 2)])
     def test_batched_gradients(self, k, stride, padding):
         assert padding == k // 2

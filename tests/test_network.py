@@ -4,6 +4,7 @@ and the checkpoint format."""
 import math
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -331,6 +332,32 @@ class TestCheckpoint:
         with pytest.raises(nw.CheckpointError):
             nw.read_checkpoint(path)
 
+    def test_short_payload_read_rejected(self, tmp_path, monkeypatch):
+        # a file that shrinks after its size was taken: only the payload read's byte count shows it
+        path = tmp_path / "shrunk.fdpt"
+        nw.save_checkpoint(path, nw.DepthNet(small_cfg(), seed=0))
+        path.write_bytes(path.read_bytes()[:-8])
+        real_fstat = os.fstat
+
+        def fstat_before_shrinking(fd):
+            st = real_fstat(fd)
+            return os.stat_result((*st[:6], st.st_size + 8, *st[7:]))
+
+        monkeypatch.setattr(os, "fstat", fstat_before_shrinking)
+        with pytest.raises(nw.CheckpointError, match=r"payload of 'refine.0.post2.bias' at byte \d+ runs past end"):
+            nw.read_checkpoint(path)
+
+    def test_read_holds_the_file_once(self, tmp_path):
+        path = tmp_path / "default.fdpt"
+        nw.save_checkpoint(path, nw.DepthNet(nw.ArchConfig(), seed=0))
+        tracemalloc.start()
+        try:
+            nw.read_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * path.stat().st_size
+
     def test_records_in_construction_order(self, tmp_path):
         net = nw.DepthNet(small_cfg(), seed=0)
         path = tmp_path / "order.fdpt"
@@ -361,6 +388,8 @@ class TestCheckpoint:
         pytest.param(lambda h, r: join(h, r[:2 + name_len(r)] + struct.pack("<4Q", 2**32, 2**32, 1, 1)
                                        + r[34 + name_len(r):]),
                      r"payload of 'encoder.1.conv1.weight' at byte \d+ runs past end", id="huge_extents"),
+        pytest.param(lambda h, r: join(h, r[:-8]),
+                     r"payload of 'refine.0.post2.bias' at byte \d+ runs past end", id="truncated_payload"),
         pytest.param(lambda h, r: join(h, r + r[:first_record_len(r)]),
                      r"duplicate record 'encoder.1.conv1.weight' at byte \d+", id="duplicate_record"),
         pytest.param(lambda h, r: join(h, r[first_record_len(r):]),

@@ -131,6 +131,10 @@ class TestStereoSample:
         with pytest.raises(SceneError, match="stereo images differ"):
             StereoSample(np.zeros((8, 8, 3)), np.zeros((8, 16, 3)), np.zeros((8, 8)))
 
+    def test_disparity_extent_mismatch_rejected(self):
+        with pytest.raises(SceneError, match=r"disparity map is \(8, 16\), images are \(8, 8\)"):
+            StereoSample(np.zeros((8, 8, 3)), np.zeros((8, 8, 3)), np.zeros((8, 16)))
+
 
 class TestRenderStereo:
     def test_single_layer_ground_truth(self):

@@ -1,6 +1,7 @@
 """Optimizer arithmetic, staged schedule behavior, config parsing, CLI wiring."""
 
 import os
+import re
 import shlex
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from fusiondepth import autodiff as ad
-from fusiondepth import cli
+from fusiondepth import cli, netpbm
 from fusiondepth import training as tr
 from fusiondepth.network import ARCH_KEYS, ArchConfig, DepthNet, image_batch, load_checkpoint, save_checkpoint
 from fusiondepth.scenes import SceneError, random_scene, render_stereo, write_dataset
@@ -370,6 +371,19 @@ class TestCli:
         assert cli.main(argv + ["--checkpoint", str(checkpoint)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {where}: input extents 48x48 must be divisible by 2^5")
         assert not out.exists()
+
+    @pytest.mark.parametrize("name, write, extents, reason", [
+        ("disp.pgm", netpbm.write_pgm16, (32, 64), r"disparity map is \(32, 64\), images are \(32, 32\)"),
+        ("right.ppm", netpbm.write_ppm, (32, 64, 3), r"stereo images differ: \(32, 32, 3\) vs \(32, 64, 3\)"),
+    ])
+    def test_eval_names_scene_with_wrong_extents(self, tmp_path, capsys, name, write, extents, reason):
+        data_dir = tmp_path / "data"
+        write_dataset(data_dir, [random_scene(i, width=32, height=32) for i in range(2)])
+        write(data_dir / f"000001_{name}", np.full(extents, 0.5))
+        checkpoint = tmp_path / "net.fdpt"
+        save_checkpoint(checkpoint, DepthNet(tiny_arch()))
+        assert cli.main(["eval", "--checkpoint", str(checkpoint), "--data", str(data_dir)]) == 1
+        assert re.fullmatch(f"error: {re.escape(str(data_dir / '000001_'))}: {reason}\n", capsys.readouterr().err)
 
     @pytest.mark.parametrize("key", ["fusion", "coordconv", "refinement"])
     def test_ablation_key_trains_and_evaluates(self, tmp_path, capsys, key):
