@@ -283,16 +283,6 @@ def exp(x):
     return _tracked(out, (x,), vjp, "exp")
 
 
-def log(x):
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.log(x.values)
-
-    def vjp(g):
-        return (g / x.values,)
-
-    return _tracked(out, (x,), vjp, "log")
-
-
 def clamp(x, lo, hi):
     """Clip to [lo, hi]; gradient is zero where the clip is active."""
     if not lo < hi:

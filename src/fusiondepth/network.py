@@ -2,11 +2,13 @@
 
 Encoder halves resolution per level; every level is then augmented with
 coordinate channels and fused with its neighbour levels (reshaped to the
-level's extents) before decoding. Disparity comes out at 4 scales through
-sigmoid heads scaled by d_max; when refinement is enabled the three finest
-scales are produced by residual sub-pixel refinement instead of direct
-heads. Includes the flat `key = value` config syntax and the binary
-checkpoint format ("FDPT2"), whose header stores the architecture.
+level's extents) before decoding. Disparity logits come out at 4 scales from
+conv heads; when refinement is enabled the three finest scales' logits are
+produced from the next coarser scale's logits by residual sub-pixel
+refinement instead of direct heads. The forward pass maps each scale's
+logits to disparity once, as d_max * sigmoid. Includes the flat
+`key = value` config syntax and the binary checkpoint format ("FDPT2"),
+whose header stores the architecture.
 """
 
 from __future__ import annotations
@@ -249,64 +251,46 @@ class FusionBlock:
     def __init__(self, net, cfg, p, in_widths):
         # in_widths[i-1] = channel count of the (possibly augmented) level-i input
         self.level = p
-        self.cfg = cfg
         name = f"fusion.{p}"
         w_p = cfg.widths[p - 1]
         k = cfg.kernel_size
+        self.projections = []  # (member level, projection conv)
         if cfg.fusion_enabled:
-            self.members = fusion_members(p, cfg.num_levels)
-            same, per = channel_budgets(w_p, cfg.reservation, len(self.members) - 1)
-            if per < 1 and len(self.members) > 1:
-                raise ConfigError(f"level {p} width {w_p} too narrow to split across {len(self.members)} members")
-            self.proj_down = None
-            self.proj_same = None
-            self.proj_up = None
-            for i in self.members:
-                cin = in_widths[i - 1]
-                if i == p - 1:
-                    self.proj_down = Conv(net, f"{name}.proj_down", cin, per, k, stride=2)
-                elif i == p:
-                    self.proj_same = Conv(net, f"{name}.proj_same", cin, same, 1)
-                else:
-                    self.proj_up = Conv(net, f"{name}.proj_up", cin, per, 1)
-            self.conv = Conv(net, f"{name}.conv", w_p, w_p, k)
-        else:
-            self.members = [p]
-            self.proj_down = self.proj_same = self.proj_up = None
-            self.conv = Conv(net, f"{name}.conv", in_widths[p - 1], w_p, k)
+            members = fusion_members(p, cfg.num_levels)
+            same, per = channel_budgets(w_p, cfg.reservation, len(members) - 1)
+            if per < 1 and len(members) > 1:
+                raise ConfigError(f"level {p} width {w_p} too narrow to split across {len(members)} members")
+            # role: (name, output channels, kernel, stride); the finer level is strided down to p
+            roles = {p - 1: ("proj_down", per, k, 2), p: ("proj_same", same, 1, 1), p + 1: ("proj_up", per, 1, 1)}
+            for i in members:
+                role, cout, kernel, stride = roles[i]
+                self.projections.append((i, Conv(net, f"{name}.{role}", in_widths[i - 1], cout, kernel, stride=stride)))
+        self.conv = Conv(net, f"{name}.conv", w_p if self.projections else in_widths[p - 1], w_p, k)
 
     def __call__(self, inputs):
         """inputs: list of per-level tensors, index i-1 = level i."""
         p = self.level
-        if not self.cfg.fusion_enabled:
+        if not self.projections:
             return ad.elu(self.conv(inputs[p - 1]))
-        parts = []
-        for i in self.members:
-            feature = inputs[i - 1]
-            if i == p - 1:
-                parts.append(ad.elu(self.proj_down(feature)))
-            elif i == p:
-                parts.append(ad.elu(self.proj_same(feature)))
-            else:
-                parts.append(ad.elu(self.proj_up(ad.upsample_nearest(feature, 2))))
+        # the coarser level is upsampled to p before its 1x1 projection
+        parts = [ad.elu(proj(ad.upsample_nearest(inputs[i - 1], 2) if i > p else inputs[i - 1]))
+                 for i, proj in self.projections]
         return ad.elu(self.conv(ad.concat_channels(parts)))
 
 
 class RefineModule:
-    """Residual sub-pixel refinement from scale s+1 to scale s.
+    """Residual sub-pixel refinement from scale s+1's logits to scale s's.
 
-    The coarse disparity is mapped back to logit space, super-resolved
-    through a 4-channel conv + pixel shuffle, and corrected by (a) a
-    residual tower over the coarse decoder features (32/32/16/4 channels,
-    then shuffle) and (b) a post conv stack on the merged logits. One final
-    sigmoid rescale restores the (0, d_max) range, so zeroed correction
-    branches leave the super-resolved coarse path untouched.
+    The coarse logits are super-resolved through a 4-channel conv + pixel
+    shuffle and corrected by (a) a residual tower over the coarse decoder
+    features (32/32/16/4 channels, then shuffle) and (b) a post conv stack on
+    the merged logits. The result is the fine scale's logits, which
+    `DepthNet.forward` maps to disparity with the one d_max * sigmoid of every
+    scale, so zeroed correction tails leave the super-resolved coarse logits
+    untouched.
     """
 
-    LOGIT_MARGIN = 1e-12
-
     def __init__(self, net, name, in_ch, kernel):
-        self.name = name
         self.sr = Conv(net, f"{name}.sr", 1, 4, kernel)
         self.res1 = Conv(net, f"{name}.res1", in_ch, 32, kernel)
         self.res2 = Conv(net, f"{name}.res2", 32, 32, kernel)
@@ -326,17 +310,14 @@ class RefineModule:
             tail.weight.values[:] = 0.0
             tail.bias.values[:] = 0.0
 
-    def __call__(self, coarse_disp, features, d_max):
-        frac = ad.clamp(ad.scale(coarse_disp, 1.0 / d_max), self.LOGIT_MARGIN, 1.0 - self.LOGIT_MARGIN)
-        logits = ad.sub(ad.log(frac), ad.log(ad.sub(ad.scalar(1.0), frac)))
-        sr_logits = ad.pixel_shuffle(self.sr(logits), 2)
+    def __call__(self, coarse_logits, features):
+        sr_logits = ad.pixel_shuffle(self.sr(coarse_logits), 2)
         tower = ad.elu(self.res1(features))
         tower = ad.elu(self.res2(tower))
         tower = ad.elu(self.res3(tower))
         residual = ad.pixel_shuffle(self.res4(tower), 2)
         merged = ad.add(sr_logits, residual)
-        refined = ad.add(merged, self.post2(ad.elu(self.post1(merged))))
-        return ad.scale(ad.sigmoid(refined), d_max)
+        return ad.add(merged, self.post2(ad.elu(self.post1(merged))))
 
 
 @dataclass
@@ -468,17 +449,13 @@ class DepthNet:
                 x = ad.elu(self.decoder[p](up))
             feats[p] = x
 
-        def head_out(s):
-            return ad.scale(ad.sigmoid(self.heads[s](feats[s])), cfg.d_max)
-
-        if cfg.refinement_enabled:
-            d3 = head_out(3)
-            d2 = self.refine[2](d3, feats[3], cfg.d_max)
-            d1 = self.refine[1](d2, feats[2], cfg.d_max)
-            d0 = self.refine[0](d1, feats[1], cfg.d_max)
-            maps = [d0, d1, d2, d3]
-        else:
-            maps = [head_out(s) for s in (0, 1, 2, 3)]
+        logits = {}
+        for s in (3, 2, 1, 0):
+            if s in self.refine:
+                logits[s] = self.refine[s](logits[s + 1], feats[s + 1])
+            else:
+                logits[s] = self.heads[s](feats[s])
+        maps = [ad.scale(ad.sigmoid(logits[s]), cfg.d_max) for s in range(4)]
         return DisparitySet(maps)
 
 

@@ -62,7 +62,6 @@ def op_checks(seed):
     shape = (1, 2, 4, 6)
     a = leaf(rng, shape)
     b = leaf(rng, shape, 0.5, 1.5)
-    pos = leaf(rng, shape, 0.5, 2.0)
     interior = ad.Tensor(away_from(rng.uniform(-1, 1, shape), (-0.5, 0.0, 0.5), 0.05),
                          requires_grad=True)
     x_img = leaf(rng, (1, 2, 6, 6))
@@ -89,7 +88,6 @@ def op_checks(seed):
         ("sigmoid", lambda: m(ad.sigmoid(a)), [a]),
         ("absolute", lambda: m(ad.absolute(interior)), [interior]),
         ("exp", lambda: m(ad.exp(a)), [a]),
-        ("log", lambda: m(ad.log(pos)), [pos]),
         ("clamp", lambda: m(ad.clamp(interior, -0.5, 0.5)), [interior]),
         ("reduce_mean", lambda: ad.reduce_mean(ad.reduce_mean(a, axes=(2, 3))), [a]),
         ("concat", lambda: m(ad.concat_channels([a, b])), [a, b]),
@@ -165,9 +163,9 @@ def test_criterion_2():
             tower = [module.res1, module.res2, module.res3, module.res4]
             assert [c.weight.shape[0] for c in tower] == [32, 32, 16, 4]
             assert module.res4.weight.shape[0] == 4  # 4 = 2x2 shuffle to one channel
-        coarse = ad.Tensor(np.random.default_rng(0).uniform(0.1, 0.2, (1, 1, 8, 8)))
+        coarse_logits = ad.Tensor(np.random.default_rng(0).uniform(-2, 2, (1, 1, 8, 8)))
         features = ad.Tensor(np.random.default_rng(1).uniform(-1, 1, (1, widths[0], 8, 8)))
-        refined = net.refine[0](coarse, features, 0.3)
+        refined = net.refine[0](coarse_logits, features)
         assert refined.shape == (1, 1, 16, 16)
 
         size = 1 << (levels + 1)
@@ -213,7 +211,7 @@ def test_criterion_3(recovery):
     rows = [line.split(",") for line in open(recovery.log).read().splitlines()[1:]]
     first, last = float(rows[0][2]), float(rows[-1][2])
     ok = mae < 0.5 and last < 0.5 * first and recovery.wall < 1800
-    report(3, ok, f"recovery: disparity MAE {mae:.3f}px (<0.5), "
+    report(3, ok, f"recovery: in-sample disparity MAE {mae:.3f}px over its 40 training scenes (<0.5), "
                   f"loss {first:.4f}->{last:.4f} (ratio {last / first:.2f} <0.5), "
                   f"train {recovery.wall:.0f}s (<1800s)")
 

@@ -37,9 +37,9 @@ class TestTensorBasics:
         assert ad.scalar(2.5).item() == 2.5
 
     def test_finite_error_on_nan(self):
-        bad = ad.Tensor(np.full((1, 1, 1, 1), -1.0))
+        zero = ad.Tensor(np.zeros((1, 1, 1, 1)))
         with pytest.raises(ad.FiniteError):
-            ad.log(bad)
+            ad.div(zero, zero)  # 0/0 is NaN
 
 
 class TestConv2d:
@@ -217,7 +217,6 @@ class TestElementwise:
             ad.exp,
             lambda t: ad.elu(ad.shift(t, 2.0)),      # keep clear of the kink at 0
             lambda t: ad.elu(ad.shift(t, -3.0)),
-            lambda t: ad.log(ad.shift(t, 3.0)),
             lambda t: ad.absolute(ad.shift(t, 2.0)),
             lambda t: ad.mul(t, t),
             lambda t: ad.clamp(t, -0.95, 0.95),

@@ -210,9 +210,8 @@ class TestRefinement:
 
     def test_zero_residual_branch_is_identity(self):
         rng = np.random.default_rng(13)
-        coarse = ad.Tensor(rng.uniform(0.01, 0.29, (1, 1, 8, 8)))
+        coarse = ad.Tensor(rng.uniform(-3.0, 3.0, (1, 1, 8, 8)))  # logits
         features = [ad.Tensor(rng.uniform(-1.0, 1.0, (1, 4, 8, 8))) for _ in range(2)]
-        d_max = small_cfg().d_max
 
         # trained-like weights, then both correction tails zeroed: the features drop out
         module = nw.DepthNet(small_cfg(), seed=4).refine[0]
@@ -222,14 +221,20 @@ class TestRefinement:
         for tail in (module.res4, module.post2):
             tail.weight.values[...] = 0.0
             tail.bias.values[...] = 0.0
-        a, b = (module(coarse, f, d_max).values for f in features)
+        a, b = (module(coarse, f).values for f in features)
         assert np.array_equal(a, b)
 
-        # a fresh module starts at nearest upsampling
+        # a fresh module starts at nearest upsampling of the logits, exactly
         fresh = nw.DepthNet(small_cfg(), seed=4).refine[0]
-        refined = fresh(coarse, features[0], d_max).values
-        nearest = np.repeat(np.repeat(coarse.values, 2, axis=2), 2, axis=3)
-        assert np.abs(refined - nearest).max() <= 1e-12 * np.abs(nearest).max()
+        refined = fresh(coarse, features[0]).values
+        assert np.array_equal(refined, np.repeat(np.repeat(coarse.values, 2, axis=2), 2, axis=3))
+
+    def test_fresh_refinement_upsamples_the_coarsest_map(self):
+        # one sigmoid per scale over nearest-upsampled logits: every finer map repeats maps[3]
+        maps = [m.values for m in nw.DepthNet(small_cfg(), seed=5).forward(rand_image(15, 32, 32)).maps]
+        for s in (2, 1, 0):
+            factor = 1 << (3 - s)
+            assert np.array_equal(maps[s], np.repeat(np.repeat(maps[3], factor, axis=2), factor, axis=3))
 
     def test_disabled_refinement_uses_direct_heads(self):
         net = nw.DepthNet(small_cfg(refinement_enabled=False), seed=0)

@@ -1,8 +1,10 @@
 """src/ keeps only what src/ uses: every top-level function and class, and
-every non-dunder method, is named somewhere in src/fusiondepth (as a name, or
-as an attribute of anything but an absolutely imported module such as np),
-and every parameter with a default is passed by some call in src/fusiondepth.
-Code that only tests reach fails here unless it is allowlisted with a reason."""
+every non-dunder method, is named somewhere in src/fusiondepth (as an
+attribute of anything but an absolutely imported module such as np, or as a
+bare name where that name can reach it: in its own module, or in one that
+imports it with `from .module import name`), and every parameter with a
+default is passed by some call in src/fusiondepth. Code that only tests reach
+fails here unless it is allowlisted with a reason."""
 
 import ast
 from pathlib import Path
@@ -76,34 +78,42 @@ def absolute_imports(tree):
     return bound
 
 
-def names_in(tree):
+def names_in(file, tree):
+    """(module, name) pairs a module names. An attribute read may be any
+    module's, so its module is "*"; a bare name is the module's own unless
+    it was bound by `from .module import name`. So a local or a parameter
+    that shares a name with another module's definition (`run_schedule`'s
+    `log` callback and a function `log` in autodiff) is not a use of it."""
     external = absolute_imports(tree)
+    imported = {alias.asname or alias.name: (f"{node.module}.py", alias.name)
+                for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+                for alias in node.names}
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id
+            yield imported.get(node.id, (file, node.id))
         elif isinstance(node, ast.Attribute) and not (isinstance(node.value, ast.Name) and node.value.id in external):
-            yield node.attr
+            yield "*", node.attr
 
 
 def scan():
+    """(file, qualified name, bare name, whether src/ names it) for each definition."""
     trees = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
-    named = {name for tree in trees.values() for name in names_in(tree)}
-    defined = {(file, qual, name) for file, tree in trees.items() for qual, name in definitions(tree)}
-    return defined, named
+    named = {pair for file, tree in trees.items() for pair in names_in(file, tree)}
+    return [(file, qual, name, ("*", name) in named or (file, name) in named)
+            for file, tree in trees.items() for qual, name in definitions(tree)]
 
 
 def test_every_definition_is_named_in_src():
-    defined, named = scan()
-    unused = sorted(f"{file}: {qual}" for file, qual, name in defined if name not in named and name not in ALLOWED)
+    unused = sorted(f"{file}: {qual}" for file, qual, name, used in scan() if not used and name not in ALLOWED)
     assert not unused, "defined in src/ but never named there: " + ", ".join(unused)
 
 
 def test_allowlist_entries_are_still_unused_definitions():
-    defined, named = scan()
-    names = {name for _, _, name in defined}
+    found = scan()
     for name in ALLOWED:
-        assert name in names, f"{name} is no longer defined; drop it from ALLOWED"
-        assert name not in named, f"{name} is now named in src/; drop it from ALLOWED"
+        uses = [used for _, _, bare, used in found if bare == name]
+        assert uses, f"{name} is no longer defined; drop it from ALLOWED"
+        assert not any(uses), f"{name} is now named in src/; drop it from ALLOWED"
 
 
 def test_every_defaulted_parameter_is_passed_in_src():
