@@ -3,8 +3,9 @@
 Every value is a (N, C, H, W) numpy array wrapped in a Tensor. Ops record
 their parents and a closure that maps the output gradient to parent
 gradients; backward() walks the resulting graph once in reverse topological
-order. Scalars (losses, weights applied as python floats) live in shape
-(1, 1, 1, 1).
+order and returns the gradient of each trainable leaf it reaches. Binary ops
+take operands of equal shape; nothing broadcasts. Scalars (losses) live in
+shape (1, 1, 1, 1).
 """
 
 from __future__ import annotations
@@ -28,12 +29,12 @@ def _check_finite(values, where):
 class Tensor:
     """A rank-4 float64 array plus the tape bookkeeping to differentiate it.
 
-    Leaf tensors created with requires_grad=True accumulate into .grad on
-    each backward() call; everything produced by an op carries a _vjp
-    closure instead and never stores a gradient itself.
+    A leaf created with requires_grad=True is trainable: backward() returns
+    its gradient. Everything produced by an op from a trainable input carries
+    a _vjp closure; no tensor stores a gradient.
     """
 
-    __slots__ = ("values", "requires_grad", "grad", "_parents", "_vjp", "_op")
+    __slots__ = ("values", "requires_grad", "_parents", "_vjp", "_op")
 
     def __init__(self, values, requires_grad=False, _parents=(), _vjp=None, _op="leaf"):
         values = np.asarray(values, dtype=np.float64)
@@ -41,7 +42,6 @@ class Tensor:
             raise ShapeError(f"tensors are rank-4 (N, C, H, W); got shape {values.shape}")
         self.values = values
         self.requires_grad = requires_grad
-        self.grad = None
         self._parents = _parents
         self._vjp = _vjp
         self._op = _op
@@ -65,11 +65,7 @@ class Tensor:
             return shift(self, float(other))
         return add(self, other)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
-        if isinstance(other, (int, float)):
-            return shift(self, -float(other))
         return sub(self, other)
 
     def __rsub__(self, other):
@@ -82,19 +78,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, 1.0 / float(other))
-        return div(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-
-def scalar(value):
-    """A (1,1,1,1) constant holding one number."""
-    return Tensor(np.full((1, 1, 1, 1), value, dtype=np.float64))
-
 
 def _tracked(values, parents, vjp, op):
     """Build an op output; drops the tape if no parent needs gradients."""
@@ -105,10 +88,13 @@ def _tracked(values, parents, vjp, op):
 
 
 def backward(loss):
-    """Accumulate d(loss)/d(leaf) into .grad for every reachable leaf.
+    """d(loss)/d(leaf) for every trainable leaf the loss reaches.
 
-    loss must be a scalar-shaped (1,1,1,1) tensor. Repeated calls keep
-    accumulating; callers set each leaf's .grad to None between steps.
+    loss must be a scalar-shaped (1,1,1,1) tensor. Returns a dict from each
+    reached leaf with requires_grad=True to its gradient; an unreached leaf
+    has no entry. The arrays are for reading: two leaves of one `add` may
+    share an array. Calling it again on the same graph returns equal
+    gradients, nothing accumulates.
     """
     if not isinstance(loss, Tensor):
         raise TypeError("backward expects a Tensor")
@@ -132,6 +118,7 @@ def backward(loss):
                 stack.append((parent, False))
 
     grads = {id(loss): np.ones((1, 1, 1, 1), dtype=np.float64)}
+    leaf_grads = {}
     for node in reversed(order):
         grad = grads.pop(id(node), None)
         if grad is None:
@@ -139,38 +126,25 @@ def backward(loss):
         if node._vjp is None:
             if node.requires_grad:
                 _check_finite(grad, "gradient")
-                if node.grad is None:
-                    node.grad = np.zeros_like(node.values)
-                node.grad += grad
+                leaf_grads[node] = grad
             continue
         for parent, pgrad in zip(node._parents, node._vjp(grad)):
             if pgrad is None or not parent.requires_grad:
                 continue
             held = grads.get(id(parent))
             grads[id(parent)] = pgrad if held is None else held + pgrad
+    return leaf_grads
 
 
 # ---------------------------------------------------------------------------
-# elementwise and broadcast arithmetic
-
-
-def _broadcastable(a, b):
-    return all(x == y or x == 1 or y == 1 for x, y in zip(a, b))
-
-
-def _unbroadcast(grad, shape):
-    """Sum grad back down to `shape` along the axes that were broadcast."""
-    if grad.shape == shape:
-        return grad
-    axes = tuple(i for i in range(4) if shape[i] == 1 and grad.shape[i] != 1)
-    return grad.sum(axis=axes, keepdims=True)
+# elementwise arithmetic
 
 
 def _binary(a, b, op):
     if not isinstance(a, Tensor) or not isinstance(b, Tensor):
         raise TypeError(f"{op} expects Tensor operands")
-    if not _broadcastable(a.shape, b.shape):
-        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast")
+    if a.shape != b.shape:
+        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} differ")
 
 
 def add(a, b):
@@ -178,7 +152,7 @@ def add(a, b):
     out = a.values + b.values
 
     def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return g, g
 
     return _tracked(out, (a, b), vjp, "add")
 
@@ -188,7 +162,7 @@ def sub(a, b):
     out = a.values - b.values
 
     def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return g, -g
 
     return _tracked(out, (a, b), vjp, "sub")
 
@@ -198,7 +172,7 @@ def mul(a, b):
     out = a.values * b.values
 
     def vjp(g):
-        return _unbroadcast(g * b.values, a.shape), _unbroadcast(g * a.values, b.shape)
+        return g * b.values, g * a.values
 
     return _tracked(out, (a, b), vjp, "mul")
 
@@ -209,9 +183,7 @@ def div(a, b):
         out = a.values / b.values
 
     def vjp(g):
-        ga = g / b.values
-        gb = -g * out / b.values
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+        return g / b.values, -g * out / b.values
 
     return _tracked(out, (a, b), vjp, "div")
 
@@ -274,21 +246,10 @@ def absolute(x):
     return _tracked(out, (x,), vjp, "abs")
 
 
-def exp(x):
-    out = np.exp(x.values)
-
-    def vjp(g):
-        return (g * out,)
-
-    return _tracked(out, (x,), vjp, "exp")
-
-
-def clamp(x, lo, hi):
-    """Clip to [lo, hi]; gradient is zero where the clip is active."""
-    if not lo < hi:
-        raise ValueError(f"clamp needs lo < hi, got [{lo}, {hi}]")
-    out = np.clip(x.values, lo, hi)
-    interior = (x.values > lo) & (x.values < hi)
+def clamp01(x):
+    """Clip to [0, 1]; gradient is zero where the clip is active."""
+    out = np.clip(x.values, 0.0, 1.0)
+    interior = (x.values > 0.0) & (x.values < 1.0)
 
     def vjp(g):
         return (g * interior,)
@@ -300,17 +261,12 @@ def clamp(x, lo, hi):
 # reductions and layout ops
 
 
-def reduce_mean(x, axes=None):
-    """Mean over `axes` (all four when None); reduced extents stay as 1 so
-    every value in the graph remains rank-4."""
-    axes = tuple(range(4)) if axes is None else tuple(sorted(set(axes)))
-    count = 1
-    for ax in axes:
-        count *= x.shape[ax]
-    out = x.values.mean(axis=axes, keepdims=True)
+def reduce_mean(x):
+    """Mean of every entry, as a (1, 1, 1, 1) tensor."""
+    out = x.values.mean(axis=(0, 1, 2, 3), keepdims=True)
 
     def vjp(g):
-        return (np.broadcast_to(g, x.shape) / count,)
+        return (np.broadcast_to(g, x.shape) / x.values.size,)
 
     return _tracked(out, (x,), vjp, "mean")
 
@@ -348,16 +304,14 @@ def crop(x, top, bottom, left, right):
     return _tracked(out, (x,), vjp, "crop")
 
 
-def upsample_nearest(x, factor):
-    """Nearest-neighbour upsampling by an integer factor on H and W."""
-    factor = int(factor)
-    if factor < 1:
-        raise ShapeError(f"upsample factor must be >= 1, got {factor}")
-    out = np.repeat(np.repeat(x.values, factor, axis=2), factor, axis=3)
+def upsample_nearest(x):
+    """Nearest-neighbour upsampling by 2 on H and W: each pyramid level
+    halves."""
+    out = np.repeat(np.repeat(x.values, 2, axis=2), 2, axis=3)
     n, c, h, w = x.shape
 
     def vjp(g):
-        return (g.reshape(n, c, h, factor, w, factor).sum(axis=(3, 5)),)
+        return (g.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5)),)
 
     return _tracked(out, (x,), vjp, "upsample_nearest")
 
@@ -385,26 +339,26 @@ def avg_pool(x, kernel, stride):
     return _tracked(np.ascontiguousarray(out), (x,), vjp, "avg_pool")
 
 
-def pixel_shuffle(x, factor):
-    """Rearrange (N, C*r^2, H, W) -> (N, C, H*r, W*r).
+def pixel_shuffle(x):
+    """Rearrange (N, 4C, H, W) -> (N, C, 2H, 2W), doubling the extents as
+    upsample_nearest does.
 
-    Channel c*r*r + dy*r + dx of the input lands at output pixel
-    (h*r + dy, w*r + dx) of channel c.
+    Channel c*4 + dy*2 + dx of the input lands at output pixel
+    (h*2 + dy, w*2 + dx) of channel c.
     """
-    r = int(factor)
     n, c, h, w = x.shape
-    if c % (r * r) != 0:
-        raise ShapeError(f"pixel_shuffle needs channels divisible by {r * r}, got {c}")
-    co = c // (r * r)
+    if c % 4 != 0:
+        raise ShapeError(f"pixel_shuffle needs channels divisible by 4, got {c}")
+    co = c // 4
     out = (
-        x.values.reshape(n, co, r, r, h, w)
+        x.values.reshape(n, co, 2, 2, h, w)
         .transpose(0, 1, 4, 2, 5, 3)
-        .reshape(n, co, h * r, w * r)
+        .reshape(n, co, h * 2, w * 2)
     )
 
     def vjp(g):
         back = (
-            g.reshape(n, co, h, r, w, r)
+            g.reshape(n, co, h, 2, w, 2)
             .transpose(0, 1, 3, 5, 2, 4)
             .reshape(n, c, h, w)
         )

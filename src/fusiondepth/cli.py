@@ -45,11 +45,14 @@ def _cmd_eval(args):
     net = load_checkpoint(args.checkpoint)
     samples, baseline, focal = scenes.load_dataset(args.data)
     net.cfg.check_images([s.left for s in samples], f"dataset at {args.data}")
+    _, _, indices = scenes.read_manifest(args.data)
     rows = []
-    for sample in samples:
-        disp = _disparity_px(net, sample.left, args.pp)
+    for index, sample in zip(indices, samples):
         gt = sample.gt_disparity
         mask = gt > 0  # not nonoccluded_mask: perfbench/reference.json pins these metrics
+        if not mask.any():
+            raise scenes.SceneError(f"{os.path.join(args.data, f'{index}_')}: ground truth has no positive disparity")
+        disp = _disparity_px(net, sample.left, args.pp)
         d1 = me.compute_d1(disp, gt, mask)
         pred_depth = me.disparity_to_depth(disp, baseline, focal)
         gt_depth = me.disparity_to_depth(gt, baseline, focal)

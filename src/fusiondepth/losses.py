@@ -1,15 +1,18 @@
 """View-synthesis training objective.
 
-All terms are built from engine ops so gradients reach the network: SSIM+L1
-appearance matching against bilinear reconstructions, edge-aware disparity
-smoothness, left-right disparity consistency, and occlusion regularization,
-combined over 4 scales with geometric per-scale factors. Disparities are in
+Built from engine ops so gradients reach the network: SSIM+L1 appearance
+matching against bilinear reconstructions, edge-aware disparity smoothness
+(its edge weights depend on the image alone and are numpy constants),
+left-right disparity consistency, and occlusion regularization, combined over
+4 scales with geometric per-scale factors. Disparities are in
 normalized-width units throughout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import autodiff as ad
 from .network import ConfigError
@@ -71,7 +74,7 @@ def ssim(x, y):
 
 def appearance_loss(target, reconstruction, weights):
     alpha = weights.alpha_ssim
-    ssim_term = ad.reduce_mean(ad.clamp((1.0 - ssim(target, reconstruction)) * 0.5, 0.0, 1.0))
+    ssim_term = ad.reduce_mean(ad.clamp01((1.0 - ssim(target, reconstruction)) * 0.5))
     l1_term = ad.reduce_mean(ad.absolute(ad.sub(target, reconstruction)))
     return alpha * ssim_term + (1.0 - alpha) * l1_term
 
@@ -86,13 +89,17 @@ def _y_grad(t):
     return ad.sub(ad.crop(t, 1, h, 0, w), ad.crop(t, 0, h - 1, 0, w))
 
 
+def edge_weight(image, axis):
+    """exp(-mean_c |dI|) along `axis` (3 for x, 2 for y) of an image Tensor:
+    a constant, since no gradient flows into the image."""
+    return ad.Tensor(np.exp(-np.abs(np.diff(image.values, axis=axis)).mean(axis=1, keepdims=True)))
+
+
 def smoothness_loss(disparity, image):
     """Edge-aware first-order penalty: mean |dd| * exp(-mean_c |dI|), summed
     over the two gradient directions."""
-    wx = ad.exp(-ad.reduce_mean(ad.absolute(_x_grad(image)), axes=(1,)))
-    wy = ad.exp(-ad.reduce_mean(ad.absolute(_y_grad(image)), axes=(1,)))
-    loss_x = ad.reduce_mean(ad.mul(ad.absolute(_x_grad(disparity)), wx))
-    loss_y = ad.reduce_mean(ad.mul(ad.absolute(_y_grad(disparity)), wy))
+    loss_x = ad.reduce_mean(ad.mul(ad.absolute(_x_grad(disparity)), edge_weight(image, 3)))
+    loss_y = ad.reduce_mean(ad.mul(ad.absolute(_y_grad(disparity)), edge_weight(image, 2)))
     return ad.add(loss_x, loss_y)
 
 
@@ -144,4 +151,4 @@ def total_loss(left_set, right_set, left, right, weights):
             occ = (occlusion_reg(d_l) + occlusion_reg(d_r)) * 0.5
             terms.append(occ * weights.occlusion)
         per_scale.append(sum(terms[1:], terms[0]) * factor)
-    return sum(per_scale[1:], per_scale[0]) if per_scale else ad.scalar(0.0)
+    return sum(per_scale[1:], per_scale[0]) if per_scale else ad.Tensor(np.zeros((1, 1, 1, 1)))

@@ -273,7 +273,7 @@ class FusionBlock:
         if not self.projections:
             return ad.elu(self.conv(inputs[p - 1]))
         # the coarser level is upsampled to p before its 1x1 projection
-        parts = [ad.elu(proj(ad.upsample_nearest(inputs[i - 1], 2) if i > p else inputs[i - 1]))
+        parts = [ad.elu(proj(ad.upsample_nearest(inputs[i - 1]) if i > p else inputs[i - 1]))
                  for i, proj in self.projections]
         return ad.elu(self.conv(ad.concat_channels(parts)))
 
@@ -311,11 +311,11 @@ class RefineModule:
             tail.bias.values[:] = 0.0
 
     def __call__(self, coarse_logits, features):
-        sr_logits = ad.pixel_shuffle(self.sr(coarse_logits), 2)
+        sr_logits = ad.pixel_shuffle(self.sr(coarse_logits))
         tower = ad.elu(self.res1(features))
         tower = ad.elu(self.res2(tower))
         tower = ad.elu(self.res3(tower))
-        residual = ad.pixel_shuffle(self.res4(tower), 2)
+        residual = ad.pixel_shuffle(self.res4(tower))
         merged = ad.add(sr_logits, residual)
         return ad.add(merged, self.post2(ad.elu(self.post1(merged))))
 
@@ -441,7 +441,7 @@ class DepthNet:
         feats = {L: fused[L - 1]}
         x = feats[L]
         for p in range(L - 1, self.min_level - 1, -1):
-            up = ad.upsample_nearest(x, 2)
+            up = ad.upsample_nearest(x)
             if p >= 1:
                 skip = self._augment(fused[p - 1])
                 x = ad.elu(self.decoder[p](ad.concat_channels([up, skip])))

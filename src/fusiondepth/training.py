@@ -72,16 +72,14 @@ class Adam:
         self.m = [np.zeros_like(t.values) for t in self.tensors]
         self.v = [np.zeros_like(t.values) for t in self.tensors]
 
-    def zero_grad(self):
-        for t in self.tensors:
-            t.grad = None
-
-    def step(self):
+    def step(self, grads):
+        """One update from `grads`, the dict ad.backward returns; a tensor
+        without an entry only lets its moments decay."""
         self.step_count += 1
         bc1 = 1.0 - self.beta1 ** self.step_count
         bc2 = 1.0 - self.beta2 ** self.step_count
         for t, m, v in zip(self.tensors, self.m, self.v):
-            g = t.grad
+            g = grads.get(t)
             m *= self.beta1
             v *= self.beta2
             if g is not None:
@@ -98,9 +96,7 @@ def _train_epoch(net, opt, samples, rng, batch_size, weights):
         left = image_batch([s.left for s in chunk])
         right = image_batch([s.right for s in chunk])
         loss = total_loss(net.forward(left), net.forward(right), left, right, weights)
-        opt.zero_grad()
-        ad.backward(loss)
-        opt.step()
+        opt.step(ad.backward(loss))
         total += loss.item() * len(chunk)
     return total / len(order)
 

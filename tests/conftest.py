@@ -42,11 +42,8 @@ def numeric_grad(build, leaves, step=1e-5):
 
 
 def analytic_grad(build, leaves):
-    for leaf in leaves:
-        leaf.grad = None
-    loss = build()
-    ad.backward(loss)
-    return [leaf.grad if leaf.grad is not None else np.zeros_like(leaf.values) for leaf in leaves]
+    grads = ad.backward(build())
+    return [grads[leaf] if leaf in grads else np.zeros_like(leaf.values) for leaf in leaves]
 
 
 def relative_error(analytic, numeric):

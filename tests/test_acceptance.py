@@ -81,21 +81,19 @@ def op_checks(seed):
         ("add", lambda: m(a + b), [a, b]),
         ("sub", lambda: m(a - b), [a, b]),
         ("mul", lambda: m(a * b), [a, b]),
-        ("div", lambda: m(a / b), [a, b]),
+        ("div", lambda: m(ad.div(a, b)), [a, b]),
         ("scale", lambda: m(ad.scale(a, 1.7)), [a]),
         ("shift", lambda: m(ad.shift(a, 0.3)), [a]),
         ("elu", lambda: m(ad.elu(a)), [a]),
         ("sigmoid", lambda: m(ad.sigmoid(a)), [a]),
         ("absolute", lambda: m(ad.absolute(interior)), [interior]),
-        ("exp", lambda: m(ad.exp(a)), [a]),
-        ("clamp", lambda: m(ad.clamp(interior, -0.5, 0.5)), [interior]),
-        ("reduce_mean", lambda: ad.reduce_mean(ad.reduce_mean(a, axes=(2, 3))), [a]),
+        ("clamp01", lambda: m(ad.clamp01(ad.shift(interior, 0.5))), [interior]),
         ("concat", lambda: m(ad.concat_channels([a, b])), [a, b]),
         ("crop", lambda: m(ad.crop(a, 1, 3, 2, 5)), [a]),
-        ("upsample", lambda: m(ad.upsample_nearest(a, 2)), [a]),
+        ("upsample", lambda: m(ad.upsample_nearest(a)), [a]),
         ("avg_pool", lambda: m(ad.avg_pool(x_img, 3, 1)), [x_img]),
         ("avg_pool_s2", lambda: m(ad.avg_pool(x_img, 2, 2)), [x_img]),
-        ("pixel_shuffle", lambda: m(ad.pixel_shuffle(shuffle_in, 2)), [shuffle_in]),
+        ("pixel_shuffle", lambda: m(ad.pixel_shuffle(shuffle_in)), [shuffle_in]),
         ("conv2d", lambda: m(ad.conv2d(x_img, w1, bias)), [x_img, w1, bias]),
         ("conv2d_s2", lambda: m(ad.conv2d(x_img, w2, bias, stride=2)), [x_img, w2, bias]),
         ("grid_sample", lambda: m(ad.grid_sample_bilinear(src, offs)), [src, offs]),

@@ -115,6 +115,24 @@ class TestSmoothness:
         loss_edge = ls.smoothness_loss(ad.Tensor(disp), ad.Tensor(edged)).item()
         assert loss_edge < loss_flat
 
+    @pytest.mark.parametrize("n, h, w", [(1, 5, 7), (2, 4, 6)])
+    def test_edge_weights_match_loops(self, n, h, w):
+        image = np.random.default_rng(n * h * w).uniform(0, 1, (n, 3, h, w))
+        want_x, want_y = np.empty((n, 1, h, w - 1)), np.empty((n, 1, h - 1, w))
+        for b in range(n):
+            for i in range(h):
+                for j in range(w):
+                    if j + 1 < w:
+                        want_x[b, 0, i, j] = np.exp(-sum(abs(image[b, c, i, j + 1] - image[b, c, i, j])
+                                                         for c in range(3)) / 3)
+                    if i + 1 < h:
+                        want_y[b, 0, i, j] = np.exp(-sum(abs(image[b, c, i + 1, j] - image[b, c, i, j])
+                                                         for c in range(3)) / 3)
+        for axis, want in ((3, want_x), (2, want_y)):
+            got = ls.edge_weight(ad.Tensor(image), axis)
+            assert not got.requires_grad and got._parents == ()
+            assert np.array_equal(got.values, want)
+
 
 class TestLRConsistency:
     def test_zero_maps(self):
@@ -192,9 +210,9 @@ class TestTotalLoss:
         left, right = self.images()
         fine_tune = ls.LossWeights(smoothness=0.0, occlusion=0.0)
         loss = ls.total_loss(left_set, right_set, left, right, fine_tune)
-        # smoothness is the only term that uses exp: a zero weight leaves it off the tape
-        assert "exp" in tape_ops(ls.total_loss(left_set, right_set, left, right, ls.LossWeights()))
-        assert "exp" not in tape_ops(loss)
+        # smoothness is the only term that crops: a zero weight leaves it off the tape
+        assert "crop" in tape_ops(ls.total_loss(left_set, right_set, left, right, ls.LossWeights()))
+        assert "crop" not in tape_ops(loss)
         # and the value matches assembling appearance and left-right by hand
         w = ls.LossWeights()
         manual = 0.0

@@ -2,9 +2,11 @@
 every non-dunder method, is named somewhere in src/fusiondepth (as an
 attribute of anything but an absolutely imported module such as np, or as a
 bare name where that name can reach it: in its own module, or in one that
-imports it with `from .module import name`), and every parameter with a
-default is passed by some call in src/fusiondepth. Code that only tests reach
-fails here unless it is allowlisted with a reason."""
+imports it with `from .module import name`), every parameter with a default
+is passed by some call in src/fusiondepth, and no parameter is passed the
+same literal by every call in src/fusiondepth. Code that only tests reach, and
+a parameter that is in effect a constant, fail here unless they are
+allowlisted with a reason."""
 
 import ast
 from pathlib import Path
@@ -21,6 +23,8 @@ ALLOWED_UNPASSED = {
     "main(argv)": "the console-script entry point reads sys.argv; perfbench and the tests pass argv",
 }
 
+ALLOWED_CONSTANT = {}
+
 
 def definitions(tree):
     """(qualified name, bare name) of each top-level def and class and each non-dunder method."""
@@ -33,10 +37,10 @@ def definitions(tree):
                     yield f"{node.name}.{item.name}", item.name
 
 
-def defaulted_parameters(tree):
+def parameters(tree):
     """(callable name, parameter, index among a caller's positional arguments
-    or None if keyword-only) for each parameter with a default of each
-    top-level def and each method."""
+    or None if keyword-only, whether it has a default) for each parameter but
+    `self` of each top-level def and each method."""
     functions = [(node.name, node, 0) for node in tree.body if isinstance(node, ast.FunctionDef)]
     for node in tree.body:
         if isinstance(node, ast.ClassDef):
@@ -44,11 +48,11 @@ def defaulted_parameters(tree):
                           for item in node.body if isinstance(item, ast.FunctionDef)]
     for name, fn, bound in functions:
         positional = fn.args.posonlyargs + fn.args.args
-        for index in range(len(positional) - len(fn.args.defaults), len(positional)):
-            yield name, positional[index].arg, index - bound
+        first_default = len(positional) - len(fn.args.defaults)
+        for index in range(bound, len(positional)):
+            yield name, positional[index].arg, index - bound, index >= first_default
         for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
-            if default is not None:
-                yield name, arg.arg, None
+            yield name, arg.arg, None, default is not None
 
 
 def passes(call, parameter, index):
@@ -58,14 +62,48 @@ def passes(call, parameter, index):
     return any(k.arg == parameter for k in call.keywords) or (index is not None and len(call.args) > index)
 
 
-def unpassed_parameters():
+def passed_literal(call, parameter, index):
+    """The source text of the literal a call passes for the parameter, or
+    None if it passes none, passes an expression, or uses *args/**kwargs."""
+    if any(isinstance(arg, ast.Starred) for arg in call.args) or any(k.arg is None for k in call.keywords):
+        return None
+    given = [k.value for k in call.keywords if k.arg == parameter]
+    if index is not None and len(call.args) > index:
+        given.append(call.args[index])
+    if not given:
+        return None
+    try:
+        ast.literal_eval(given[0])
+    except ValueError:
+        return None
+    return ast.unparse(given[0])
+
+
+def parameters_and_calls():
+    """Each parameter of src/ (see `parameters`) with the calls in src/ made
+    by its callable's name."""
     trees = [ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))]
     calls = {}
     for node in (node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Call)):
         callee = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
         calls.setdefault(callee, []).append(node)
-    return {f"{name}({parameter})" for tree in trees for name, parameter, index in defaulted_parameters(tree)
-            if not any(passes(call, parameter, index) for call in calls.get(name, []))}
+    return [(f"{name}({parameter})", parameter, index, defaulted, calls.get(name, []))
+            for tree in trees for name, parameter, index, defaulted in parameters(tree)]
+
+
+def unpassed_parameters():
+    return {entry for entry, parameter, index, defaulted, calls in parameters_and_calls()
+            if defaulted and not any(passes(call, parameter, index) for call in calls)}
+
+
+def constant_parameters():
+    """Parameters that every call in src/ passes as the same literal."""
+    found = set()
+    for entry, parameter, index, _, calls in parameters_and_calls():
+        literals = {passed_literal(call, parameter, index) for call in calls}
+        if len(literals) == 1 and None not in literals:
+            found.add(entry)
+    return found
 
 
 def absolute_imports(tree):
@@ -125,3 +163,14 @@ def test_unpassed_allowlist_entries_are_still_unpassed():
     unpassed = unpassed_parameters()
     for entry in ALLOWED_UNPASSED:
         assert entry in unpassed, f"{entry} is now passed in src/ or gone; drop it from ALLOWED_UNPASSED"
+
+
+def test_no_parameter_is_always_passed_the_same_literal():
+    constant = sorted(constant_parameters() - set(ALLOWED_CONSTANT))
+    assert not constant, "parameters that every call in src/ passes as the same literal: " + ", ".join(constant)
+
+
+def test_constant_allowlist_entries_are_still_constant():
+    constant = constant_parameters()
+    for entry in ALLOWED_CONSTANT:
+        assert entry in constant, f"{entry} is now passed other values in src/ or gone; drop it from ALLOWED_CONSTANT"

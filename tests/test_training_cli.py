@@ -24,32 +24,26 @@ class TestAdam:
         # bias correction makes the first update lr-sized regardless of gradient scale
         p = leaf(1.0)
         opt = tr.Adam([p], tr.TrainConfig(lr=0.1))
-        p.grad = np.full(p.shape, 1.0)
-        opt.step()
+        opt.step({p: np.full(p.shape, 1.0)})
         assert p.values[0, 0, 0, 0] == pytest.approx(0.9, abs=1e-8)
         p2 = leaf(1.0)
         opt2 = tr.Adam([p2], tr.TrainConfig(lr=0.1))
-        p2.grad = np.full(p2.shape, 1e-3)
-        opt2.step()
+        opt2.step({p2: np.full(p2.shape, 1e-3)})
         assert p2.values[0, 0, 0, 0] == pytest.approx(0.9, abs=1e-5)
 
-    def test_step_counter_and_zero_grad(self):
+    def test_step_counter_counts_steps_without_gradients(self):
         p = leaf(1.0)
         opt = tr.Adam([p], tr.TrainConfig())
-        p.grad = np.ones(p.shape)
-        opt.step()
-        assert opt.step_count == 1
-        opt.zero_grad()
-        assert p.grad is None
+        opt.step({p: np.ones(p.shape)})
+        opt.step({})
+        assert opt.step_count == 2
 
     def test_missing_gradient_keeps_momentum(self):
         p = leaf(1.0)
         opt = tr.Adam([p], tr.TrainConfig(lr=0.1))
-        p.grad = np.ones(p.shape)
-        opt.step()
+        opt.step({p: np.ones(p.shape)})
         after_first = p.values.copy()
-        p.grad = None
-        opt.step()
+        opt.step({})
         assert p.values[0, 0, 0, 0] < after_first[0, 0, 0, 0]  # momentum keeps moving
         assert np.isfinite(p.values).all()
 
@@ -59,8 +53,7 @@ class TestAdam:
             p = leaf(0.5)
             opt = tr.Adam([p], tr.TrainConfig(lr=0.01))
             for k in range(5):
-                p.grad = np.full(p.shape, 0.3 * (k + 1))
-                opt.step()
+                opt.step({p: np.full(p.shape, 0.3 * (k + 1))})
             runs.append(p.values.copy())
         assert np.array_equal(runs[0], runs[1])
 
@@ -184,13 +177,11 @@ class TestBatch:
         leaves = [t for _, t in net.parameters()]
 
         def loss_and_grad(chunk):
-            for t in leaves:
-                t.grad = None
             left = image_batch([s.left for s in chunk])
             right = image_batch([s.right for s in chunk])
             loss = tr.total_loss(net.forward(left), net.forward(right), left, right, tr.LossWeights())
-            ad.backward(loss)
-            return loss.item(), np.concatenate([t.grad.ravel() for t in leaves])
+            grads = ad.backward(loss)
+            return loss.item(), np.concatenate([grads[t].ravel() for t in leaves])
 
         assert image_batch([s.left for s in samples]).shape == (2, 3, 32, 32)
         loss, grad = loss_and_grad(samples)
@@ -384,6 +375,17 @@ class TestCli:
         save_checkpoint(checkpoint, DepthNet(tiny_arch()))
         assert cli.main(["eval", "--checkpoint", str(checkpoint), "--data", str(data_dir)]) == 1
         assert re.fullmatch(f"error: {re.escape(str(data_dir / '000001_'))}: {reason}\n", capsys.readouterr().err)
+
+    def test_eval_names_scene_without_positive_ground_truth(self, tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        write_dataset(data_dir, [random_scene(i, width=32, height=32) for i in range(2)])
+        netpbm.write_pgm16(data_dir / "000001_disp.pgm", np.zeros((32, 32)))
+        checkpoint = tmp_path / "net.fdpt"
+        save_checkpoint(checkpoint, DepthNet(tiny_arch()))
+        assert cli.main(["eval", "--checkpoint", str(checkpoint), "--data", str(data_dir)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {data_dir / '000001_'}: ground truth has no positive disparity\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize("key", ["fusion", "coordconv", "refinement"])
     def test_ablation_key_trains_and_evaluates(self, tmp_path, capsys, key):
