@@ -387,7 +387,8 @@ def conv2d(x, weight, bias, stride=1):
     channel-major to cols (N, C*k*k, Ho*Wo), so `wmat @ cols` is already
     the output in (N, O, Ho, Wo) order. The VJP closure keeps cols, and wmat
     (O, C*k*k) as a view of the weight; for a stride-1 1x1 conv (p = 0) the
-    window needs no copy, so cols is itself a view of x's values.
+    window needs no copy, so cols is itself a view of x's values. The VJP
+    builds no input gradient for an x without requires_grad (an image).
     """
     n, c, h, w = x.shape
     o, cw, kh, kw = weight.shape
@@ -423,13 +424,15 @@ def conv2d(x, weight, bias, stride=1):
     def vjp(g):
         gmat = g.reshape(n, o, ho * wo)
         gw = np.tensordot(gmat, cols, axes=([0, 2], [0, 2])).reshape(o, c, k, k)
+        gb = g.sum(axis=(0, 2, 3)).reshape(1, o, 1, 1)
+        if not x.requires_grad:
+            return None, gw, gb
         gcols = np.matmul(wmat.T, gmat).reshape(n, c, k, k, ho, wo)
         gpad = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=np.float64)
         for ki in range(k):
             for kj in range(k):
                 gpad[:, :, ki:ki + stride * ho:stride, kj:kj + stride * wo:stride] += gcols[:, :, ki, kj]
         gx = gpad[:, :, p:p + h, p:p + w] if p else gpad
-        gb = g.sum(axis=(0, 2, 3)).reshape(1, o, 1, 1)
         return gx, gw, gb
 
     return _tracked(out, (x, weight, bias), vjp, "conv2d")
@@ -449,7 +452,8 @@ def grid_sample_bilinear(source, offsets):
 
     Positions are clamped to the border, so gradients w.r.t. offsets vanish
     where sampling has saturated. All-zero offsets reproduce the source
-    bit for bit.
+    bit for bit. The VJP builds no source gradient for a source without
+    requires_grad (an image).
     """
     n, c, h, w = source.shape
     if offsets.shape != (n, 1, h, w):
@@ -471,6 +475,9 @@ def grid_sample_bilinear(source, offsets):
     inside = (pos_raw > 0.0) & (pos_raw < w - 1.0)
 
     def vjp(g):
+        goff = ((right - left) * g).sum(axis=1, keepdims=True) * w * inside
+        if not source.requires_grad:
+            return None, goff
         gsrc = np.zeros_like(source.values)
         flat = gsrc.reshape(n * c * h, w)
         rows = np.broadcast_to(np.arange(n * c * h)[:, None], (n * c * h, w))
@@ -478,7 +485,6 @@ def grid_sample_bilinear(source, offsets):
         gr = (g * frac).reshape(n * c * h, w)
         np.add.at(flat, (rows, idx0.reshape(n * c * h, w)), gl)
         np.add.at(flat, (rows, idx1.reshape(n * c * h, w)), gr)
-        goff = ((right - left) * g).sum(axis=1, keepdims=True) * w * inside
         return gsrc, goff
 
     return _tracked(out, (source, offsets), vjp, "grid_sample")

@@ -43,9 +43,8 @@ def _cmd_train(args):
 
 def _cmd_eval(args):
     net = load_checkpoint(args.checkpoint)
-    samples, baseline, focal = scenes.load_dataset(args.data)
+    samples, baseline, focal, indices = scenes.load_dataset(args.data)
     net.cfg.check_images([s.left for s in samples], f"dataset at {args.data}")
-    _, _, indices = scenes.read_manifest(args.data)
     rows = []
     for index, sample in zip(indices, samples):
         gt = sample.gt_disparity

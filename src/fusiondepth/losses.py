@@ -19,6 +19,7 @@ from .network import ConfigError
 
 SSIM_C1 = 0.01 ** 2
 SSIM_C2 = 0.03 ** 2
+SSIM_SHARE = 0.85  # of the appearance term; L1 takes the rest (Monodepth's blend)
 
 
 @dataclass
@@ -26,7 +27,6 @@ class LossWeights:
     """Term weights and per-scale factors; a weight or factor of 0 leaves
     that term or scale out of the graph."""
 
-    alpha_ssim: float = 0.85
     smoothness: float = 0.1
     lr_consistency: float = 1.0
     occlusion: float = 0.01
@@ -41,8 +41,6 @@ class LossWeights:
                 raise ConfigError(f"{name} weight must be >= 0, got {getattr(self, name)}")
         if not all(f >= 0.0 for f in self.scale_factors):
             raise ConfigError(f"scale factors must be >= 0, got {self.scale_factors}")
-        if not 0.0 <= self.alpha_ssim <= 1.0:
-            raise ConfigError(f"alpha_ssim must lie in [0, 1], got {self.alpha_ssim}")
 
 
 def reconstruct(source, disparity, direction):
@@ -72,11 +70,10 @@ def ssim(x, y):
     return ad.div(num, den)
 
 
-def appearance_loss(target, reconstruction, weights):
-    alpha = weights.alpha_ssim
+def appearance_loss(target, reconstruction):
     ssim_term = ad.reduce_mean(ad.clamp01((1.0 - ssim(target, reconstruction)) * 0.5))
     l1_term = ad.reduce_mean(ad.absolute(ad.sub(target, reconstruction)))
-    return alpha * ssim_term + (1.0 - alpha) * l1_term
+    return SSIM_SHARE * ssim_term + (1.0 - SSIM_SHARE) * l1_term
 
 
 def _x_grad(t):
@@ -113,7 +110,8 @@ def lr_consistency_loss(disp_left, disp_right):
 
 
 def occlusion_reg(disp):
-    return ad.reduce_mean(ad.absolute(disp))
+    """Mean disparity; disparities are d_max * sigmoid, so never negative."""
+    return ad.reduce_mean(disp)
 
 
 def image_pyramid(image):
@@ -139,8 +137,8 @@ def total_loss(left_set, right_set, left, right, weights):
             continue
         d_l, d_r = left_set.maps[s], right_set.maps[s]
         i_l, i_r = left_images[s], right_images[s]
-        app_l = appearance_loss(i_l, reconstruct(i_r, d_l, "left"), weights)
-        app_r = appearance_loss(i_r, reconstruct(i_l, d_r, "right"), weights)
+        app_l = appearance_loss(i_l, reconstruct(i_r, d_l, "left"))
+        app_r = appearance_loss(i_r, reconstruct(i_l, d_r, "right"))
         terms = [(app_l + app_r) * 0.5]
         if weights.smoothness:
             sm = (smoothness_loss(d_l, i_l) + smoothness_loss(d_r, i_r)) * 0.5

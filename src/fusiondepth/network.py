@@ -6,9 +6,11 @@ level's extents) before decoding. Disparity logits come out at 4 scales from
 conv heads; when refinement is enabled the three finest scales' logits are
 produced from the next coarser scale's logits by residual sub-pixel
 refinement instead of direct heads. The forward pass maps each scale's
-logits to disparity once, as d_max * sigmoid. Includes the flat
-`key = value` config syntax and the binary checkpoint format ("FDPT2"),
-whose header stores the architecture.
+logits to disparity once, as d_max * sigmoid. Every conv is 3x3 except the
+1x1 fusion projections of the same and the coarser level, and fusion keeps
+about half of each level's width for the same level. Includes the flat
+`<section>.<field> = value` config syntax and the binary checkpoint format
+("FDPT3"), whose header stores the architecture.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import os
 import re
 import struct
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -34,11 +36,9 @@ class ConfigError(ValueError):
 class ArchConfig:
     num_levels: int = 5
     widths: tuple = (16, 32, 64, 128, 256)
-    kernel_size: int = 3
-    reservation: float = 0.5
-    coordconv_enabled: bool = True
-    fusion_enabled: bool = True
-    refinement_enabled: bool = True
+    coordconv: bool = True
+    fusion: bool = True
+    refinement: bool = True
     d_max: float = 0.3
 
     def __post_init__(self):
@@ -51,10 +51,6 @@ class ArchConfig:
             )
         if any(w < 1 for w in self.widths):
             raise ConfigError(f"channel widths must be positive: {self.widths}")
-        if self.kernel_size % 2 == 0 or self.kernel_size < 1:
-            raise ConfigError(f"kernel size must be odd, got {self.kernel_size}")
-        if not 0.0 < self.reservation < 1.0:
-            raise ConfigError(f"reservation ratio must lie in (0, 1), got {self.reservation}")
         if not 0.0 < self.d_max < math.inf:  # NaN fails too
             raise ConfigError(f"d_max must be positive and finite, got {self.d_max}")
 
@@ -80,16 +76,15 @@ class ArchConfig:
 # the formatter of a value follow from the type of the field's default: bool,
 # int, float, str, or a tuple of int / float.
 
-ARCH_KEYS = {
-    "arch.levels": (ArchConfig, "num_levels"),
-    "arch.widths": (ArchConfig, "widths"),
-    "arch.kernel": (ArchConfig, "kernel_size"),
-    "arch.reservation": (ArchConfig, "reservation"),
-    "arch.coordconv": (ArchConfig, "coordconv_enabled"),
-    "arch.fusion": (ArchConfig, "fusion_enabled"),
-    "arch.refinement": (ArchConfig, "refinement_enabled"),
-    "arch.d_max": (ArchConfig, "d_max"),
-}
+
+def config_keys(section, cls):
+    """The key table of a dataclass: `<section>.<field>` for each field with a
+    plain default. A field built by a default factory (a nested config) is no key."""
+    return {f"{section}.{f.name}": (cls, f.name) for f in fields(cls)
+            if f.default is not MISSING}
+
+
+ARCH_KEYS = config_keys("arch", ArchConfig)
 
 
 _COMMENT = re.compile(r"(^|\s)#.*")
@@ -119,14 +114,19 @@ def _format_value(value):
 
 
 def read_config_lines(lines, keys, where):
-    """Parse `key = value` lines against a key table. A `#` at the start of a
-    line or after whitespace starts a comment; `runs#1` is a plain value.
+    """Parse `key = value` lines, each utf-8 bytes, against a key table. A `#`
+    at the start of a line or after whitespace starts a comment; `runs#1` is
+    a plain value.
 
     Returns {dataclass: {field: value}}; a key given twice keeps its last
     value. Errors are ConfigErrors naming `where` and the line number.
     """
     values = defaultdict(dict)
     for lineno, raw in enumerate(lines, start=1):
+        try:
+            raw = raw.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"{where}:{lineno}: {e}") from None
         line = _COMMENT.sub("", raw, count=1).strip()
         if not line:
             continue
@@ -231,14 +231,14 @@ def fusion_members(p, num_levels):
     return [i for i in (p - 1, p, p + 1) if 1 <= i <= num_levels]
 
 
-def channel_budgets(width, ratio, n_neighbors):
+def channel_budgets(width, n_neighbors):
     """Split `width` output channels between the same-level projection and
-    its neighbors: same gets round(ratio*width), the rest is divided evenly.
+    its neighbors: same gets round(width/2), the rest is divided evenly.
     Rounding slack folds into the same-level share, and each neighbor is
     capped at width/(n+1) so the same-level slice is never the narrowest."""
     if n_neighbors == 0:
         return width, 0
-    same = int(round(width * ratio))
+    same = round(width / 2)
     same = min(max(same, 1), width - n_neighbors)
     per = min((width - same) // n_neighbors, width // (n_neighbors + 1))
     same = width - per * n_neighbors
@@ -253,19 +253,18 @@ class FusionBlock:
         self.level = p
         name = f"fusion.{p}"
         w_p = cfg.widths[p - 1]
-        k = cfg.kernel_size
         self.projections = []  # (member level, projection conv)
-        if cfg.fusion_enabled:
+        if cfg.fusion:
             members = fusion_members(p, cfg.num_levels)
-            same, per = channel_budgets(w_p, cfg.reservation, len(members) - 1)
+            same, per = channel_budgets(w_p, len(members) - 1)
             if per < 1 and len(members) > 1:
                 raise ConfigError(f"level {p} width {w_p} too narrow to split across {len(members)} members")
             # role: (name, output channels, kernel, stride); the finer level is strided down to p
-            roles = {p - 1: ("proj_down", per, k, 2), p: ("proj_same", same, 1, 1), p + 1: ("proj_up", per, 1, 1)}
+            roles = {p - 1: ("proj_down", per, 3, 2), p: ("proj_same", same, 1, 1), p + 1: ("proj_up", per, 1, 1)}
             for i in members:
                 role, cout, kernel, stride = roles[i]
                 self.projections.append((i, Conv(net, f"{name}.{role}", in_widths[i - 1], cout, kernel, stride=stride)))
-        self.conv = Conv(net, f"{name}.conv", w_p if self.projections else in_widths[p - 1], w_p, k)
+        self.conv = Conv(net, f"{name}.conv", w_p if self.projections else in_widths[p - 1], w_p, 3)
 
     def __call__(self, inputs):
         """inputs: list of per-level tensors, index i-1 = level i."""
@@ -290,21 +289,20 @@ class RefineModule:
     untouched.
     """
 
-    def __init__(self, net, name, in_ch, kernel):
-        self.sr = Conv(net, f"{name}.sr", 1, 4, kernel)
-        self.res1 = Conv(net, f"{name}.res1", in_ch, 32, kernel)
-        self.res2 = Conv(net, f"{name}.res2", 32, 32, kernel)
-        self.res3 = Conv(net, f"{name}.res3", 32, 16, kernel)
-        self.res4 = Conv(net, f"{name}.res4", 16, 4, kernel)
-        self.post1 = Conv(net, f"{name}.post1", 1, 16, kernel)
-        self.post2 = Conv(net, f"{name}.post2", 16, 1, kernel)
+    def __init__(self, net, name, in_ch):
+        self.sr = Conv(net, f"{name}.sr", 1, 4, 3)
+        self.res1 = Conv(net, f"{name}.res1", in_ch, 32, 3)
+        self.res2 = Conv(net, f"{name}.res2", 32, 32, 3)
+        self.res3 = Conv(net, f"{name}.res3", 32, 16, 3)
+        self.res4 = Conv(net, f"{name}.res4", 16, 4, 3)
+        self.post1 = Conv(net, f"{name}.post1", 1, 16, 3)
+        self.post2 = Conv(net, f"{name}.post2", 16, 1, 3)
 
     def start_at_identity(self):
         """Set a fresh module to the identity: sr taps the center (shuffle then
         reduces to nearest upsampling) and both correction tails emit zero."""
-        center = self.sr.weight.shape[2] // 2
         self.sr.weight.values[:] = 0.0
-        self.sr.weight.values[:, 0, center, center] = 1.0
+        self.sr.weight.values[:, 0, 1, 1] = 1.0
         self.sr.bias.values[:] = 0.0
         for tail in (self.res4, self.post2):
             tail.weight.values[:] = 0.0
@@ -350,15 +348,14 @@ class DepthNet:
         self._state = state
         self._random = np.random.default_rng(seed) if state is None else None
         L = cfg.num_levels
-        k = cfg.kernel_size
-        extra = 3 if cfg.coordconv_enabled else 0
+        extra = 3 if cfg.coordconv else 0
 
         self.encoder = []
         prev = 3
         for p in range(1, L + 1):
             w = cfg.widths[p - 1]
             self.encoder.append(
-                (Conv(self, f"encoder.{p}.conv1", prev, w, k, stride=2), Conv(self, f"encoder.{p}.conv2", w, w, k))
+                (Conv(self, f"encoder.{p}.conv1", prev, w, 3, stride=2), Conv(self, f"encoder.{p}.conv2", w, w, 3))
             )
             prev = w
 
@@ -368,7 +365,7 @@ class DepthNet:
         # decoder stage p consumes upsampled level-(p+1) stream + augmented
         # fused skip at level p; stage 0 has no skip. With refinement on,
         # scales 2..0 come from refinement, so the decoder stops at level 1.
-        self.min_level = 1 if cfg.refinement_enabled else 0
+        self.min_level = 1 if cfg.refinement else 0
         self.decoder = {}
         for p in range(L - 1, self.min_level - 1, -1):
             if p >= 1:
@@ -377,18 +374,18 @@ class DepthNet:
             else:
                 cin = cfg.widths[0]
                 cout = cfg.widths[0]
-            self.decoder[p] = Conv(self, f"decoder.{p}.conv", cin, cout, k)
+            self.decoder[p] = Conv(self, f"decoder.{p}.conv", cin, cout, 3)
 
         feat_width = lambda level: cfg.widths[max(level, 1) - 1]
         self.heads = {}
         self.refine = {}
-        if cfg.refinement_enabled:
-            self.heads[3] = Conv(self, "head.3.conv", feat_width(3), 1, k)
+        if cfg.refinement:
+            self.heads[3] = Conv(self, "head.3.conv", feat_width(3), 1, 3)
             for s in (2, 1, 0):
-                self.refine[s] = RefineModule(self, f"refine.{s}", feat_width(s + 1), k)
+                self.refine[s] = RefineModule(self, f"refine.{s}", feat_width(s + 1))
         else:
             for s in (3, 2, 1, 0):
-                self.heads[s] = Conv(self, f"head.{s}.conv", feat_width(s), 1, k)
+                self.heads[s] = Conv(self, f"head.{s}.conv", feat_width(s), 1, 3)
 
         if state is None:
             for module in self.refine.values():
@@ -429,7 +426,7 @@ class DepthNet:
         return pyramid
 
     def _augment(self, feature):
-        return coordconv_augment(feature) if self.cfg.coordconv_enabled else feature
+        return coordconv_augment(feature) if self.cfg.coordconv else feature
 
     def forward(self, image):
         cfg = self.cfg
@@ -460,12 +457,12 @@ class DepthNet:
 
 
 # ---------------------------------------------------------------------------
-# checkpoint format: b"FDPT2", a uint32 LE header length, the header (the
+# checkpoint format: b"FDPT3", a uint32 LE header length, the header (the
 # arch.* lines of the config syntax, utf-8), then per parameter (in
 # construction order): uint16 LE name length, utf-8 name, 4x uint64 LE
 # extents, float64 LE values in C order.
 
-CHECKPOINT_MAGIC = b"FDPT2"
+CHECKPOINT_MAGIC = b"FDPT3"
 
 
 class CheckpointError(IOError):
@@ -504,13 +501,12 @@ def _read_header(path, f, size):
     if off + hlen > size:
         raise CheckpointError(f"{path}: architecture header at byte {off} runs past end of file")
     try:
-        text = f.read(hlen).decode("utf-8")
-        fields = read_config_lines(text.splitlines(), ARCH_KEYS, "header")[ArchConfig]
-        missing = [key for key, (_, name) in ARCH_KEYS.items() if name not in fields]
+        values = read_config_lines(f.read(hlen).splitlines(), ARCH_KEYS, "header")[ArchConfig]
+        missing = [key for key, (_, name) in ARCH_KEYS.items() if name not in values]
         if missing:
             raise ConfigError(f"missing {', '.join(missing)}")
-        cfg = ArchConfig(**fields)
-    except (UnicodeDecodeError, ConfigError) as e:
+        cfg = ArchConfig(**values)
+    except ConfigError as e:
         raise CheckpointError(f"{path}: bad architecture header at byte {off}: {e}") from None
     return cfg, off + hlen
 
@@ -524,8 +520,6 @@ def read_checkpoint(path):
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
         magic = f.read(len(CHECKPOINT_MAGIC))
-        if magic == b"FDPT1":
-            raise CheckpointError(f"{path}: FDPT1 checkpoint carries no architecture header; only FDPT2 loads")
         if magic != CHECKPOINT_MAGIC:
             raise CheckpointError(f"{path}: bad magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
         cfg, off = _read_header(path, f, size)

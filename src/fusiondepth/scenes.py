@@ -284,8 +284,8 @@ def read_manifest(directory):
 
 
 def load_dataset(directory):
-    """Read every indexed sample back as StereoSamples; a dataset without
-    scenes is an error."""
+    """Read every indexed sample back as StereoSamples, with the manifest's
+    baseline, focal and indices; a dataset without scenes is an error."""
     baseline, focal, indices = read_manifest(directory)
     if not indices:
         raise SceneError(f"{os.path.join(directory, 'manifest.txt')} lists no scenes")
@@ -298,4 +298,4 @@ def load_dataset(directory):
                                         gt_disparity=netpbm.read_pgm16(stem + "disp.pgm")))
         except SceneError as e:
             raise SceneError(f"{stem}: {e}") from None
-    return samples, baseline, focal
+    return samples, baseline, focal, indices

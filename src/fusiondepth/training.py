@@ -17,16 +17,17 @@ import numpy as np
 from . import autodiff as ad
 from . import scenes
 from .losses import LossWeights, total_loss
-from .network import (ARCH_KEYS, ArchConfig, ConfigError, DepthNet, format_config_lines, image_batch,
-                      read_config_lines, save_checkpoint)
+from .network import (ARCH_KEYS, ArchConfig, ConfigError, DepthNet, config_keys, format_config_lines,
+                      image_batch, read_config_lines, save_checkpoint)
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
 class TrainConfig:
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     batch_size: int = 1
     stage_epochs: tuple = (25, 5, 5)
     seed: int = 0
@@ -42,11 +43,6 @@ class TrainConfig:
         # each comparison is written so that NaN fails it
         if not 0.0 < self.lr < math.inf:
             raise ConfigError(f"learning rate must be positive and finite, got {self.lr}")
-        for name in ("beta1", "beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ConfigError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
-        if not self.eps > 0.0:
-            raise ConfigError(f"eps must be positive, got {self.eps}")
         if self.batch_size < 1:
             raise ConfigError(f"batch size must be >= 1, got {self.batch_size}")
         if self.seed < 0:
@@ -62,12 +58,12 @@ def stage_plan(cfg):
 
 
 class Adam:
-    """Bias-corrected Adam over a fixed list of leaf tensors, with the lr,
-    betas and eps of a TrainConfig."""
+    """Bias-corrected Adam over a fixed list of leaf tensors, with learning
+    rate `lr` and the usual betas (0.9, 0.999) and eps (1e-8)."""
 
-    def __init__(self, tensors, cfg):
+    def __init__(self, tensors, lr):
         self.tensors = list(tensors)
-        self.lr, self.beta1, self.beta2, self.eps = cfg.lr, cfg.beta1, cfg.beta2, cfg.eps
+        self.lr = lr
         self.step_count = 0
         self.m = [np.zeros_like(t.values) for t in self.tensors]
         self.v = [np.zeros_like(t.values) for t in self.tensors]
@@ -76,16 +72,16 @@ class Adam:
         """One update from `grads`, the dict ad.backward returns; a tensor
         without an entry only lets its moments decay."""
         self.step_count += 1
-        bc1 = 1.0 - self.beta1 ** self.step_count
-        bc2 = 1.0 - self.beta2 ** self.step_count
+        bc1 = 1.0 - ADAM_BETA1 ** self.step_count
+        bc2 = 1.0 - ADAM_BETA2 ** self.step_count
         for t, m, v in zip(self.tensors, self.m, self.v):
             g = grads.get(t)
-            m *= self.beta1
-            v *= self.beta2
+            m *= ADAM_BETA1
+            v *= ADAM_BETA2
             if g is not None:
-                m += (1.0 - self.beta1) * g
-                v += (1.0 - self.beta2) * g * g
-            t.values -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+                m += (1.0 - ADAM_BETA1) * g
+                v += (1.0 - ADAM_BETA2) * g * g
+            t.values -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 def _train_epoch(net, opt, samples, rng, batch_size, weights):
@@ -103,12 +99,12 @@ def _train_epoch(net, opt, samples, rng, batch_size, weights):
 
 def run_schedule(cfg: TrainConfig, log=None):
     """Train per the staged schedule; returns (net, log_path)."""
-    samples, _, _ = scenes.load_dataset(cfg.dataset_dir)
+    samples, _, _, _ = scenes.load_dataset(cfg.dataset_dir)
     cfg.arch.check_images([s.left for s in samples], f"dataset at {cfg.dataset_dir}")
     os.makedirs(cfg.checkpoint_dir, exist_ok=True)
 
     net = DepthNet(cfg.arch, seed=cfg.seed)
-    opt = Adam([t for _, t in net.parameters()], cfg)
+    opt = Adam([t for _, t in net.parameters()], cfg.lr)
     rng = np.random.default_rng(cfg.seed)
 
     log_path = os.path.join(cfg.checkpoint_dir, "train_log.csv")
@@ -133,29 +129,14 @@ def run_schedule(cfg: TrainConfig, log=None):
 # flat `key = value` config files
 
 
-CONFIG_KEYS = {
-    **ARCH_KEYS,
-    "loss.alpha_ssim": (LossWeights, "alpha_ssim"),
-    "loss.smoothness": (LossWeights, "smoothness"),
-    "loss.lr_consistency": (LossWeights, "lr_consistency"),
-    "loss.occlusion": (LossWeights, "occlusion"),
-    "loss.scale_factors": (LossWeights, "scale_factors"),
-    "train.lr": (TrainConfig, "lr"),
-    "train.beta1": (TrainConfig, "beta1"),
-    "train.beta2": (TrainConfig, "beta2"),
-    "train.eps": (TrainConfig, "eps"),
-    "train.batch_size": (TrainConfig, "batch_size"),
-    "train.stage_epochs": (TrainConfig, "stage_epochs"),
-    "train.seed": (TrainConfig, "seed"),
-    "train.checkpoint_dir": (TrainConfig, "checkpoint_dir"),
-    "data.dir": (TrainConfig, "dataset_dir"),
-}
+# the nested `arch` and `loss` fields have no plain default, so their keys come from their own dataclasses
+CONFIG_KEYS = {**ARCH_KEYS, **config_keys("loss", LossWeights), **config_keys("train", TrainConfig)}
 
 
 def parse_config(path):
-    """Read a TrainConfig from namespaced `key = value` lines."""
-    with open(path) as f:
-        values = read_config_lines(f, CONFIG_KEYS, path)
+    """Read a TrainConfig from `<section>.<field> = value` lines of a utf-8 file."""
+    with open(path, "rb") as f:
+        values = read_config_lines(f.read().splitlines(), CONFIG_KEYS, path)
     try:
         return TrainConfig(arch=ArchConfig(**values[ArchConfig]), loss=LossWeights(**values[LossWeights]),
                            **values[TrainConfig])

@@ -191,7 +191,7 @@ def recovery(tmp_path_factory):
 def disparity_mae(net, data_dir):
     from fusiondepth.scenes import load_dataset
 
-    samples, _, _ = load_dataset(data_dir)
+    samples, _, _, _ = load_dataset(data_dir)
     num = den = 0.0
     for sample in samples:
         width = sample.left.shape[1]
@@ -277,7 +277,7 @@ def test_criterion_5(recovery, tmp_path, capsys):
             f"arch.{key} = false\n"
             f"train.stage_epochs = {ABLATION_EPOCHS}\n"
             f"train.checkpoint_dir = {ckpt_dir}\n"
-            f"data.dir = {recovery.data}\n"
+            f"train.dataset_dir = {recovery.data}\n"
         )
         assert cli.main(["train", "--config", str(cfg_path)]) == 0
         capsys.readouterr()

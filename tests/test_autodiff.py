@@ -482,6 +482,22 @@ class TestBackward:
         assert np.array_equal(grads[b], (a.values + frozen.values) / 4.0)
         assert ad.backward(ad.reduce_mean(frozen)) == {}
 
+    @pytest.mark.parametrize("op", ["conv2d", "grid_sample"])
+    def test_vjp_builds_no_gradient_for_an_input_without_requires_grad(self, op):
+        rng = np.random.default_rng(6)
+        weight, bias = rand(rng, (2, 3, 3, 3)), rand(rng, (1, 2, 1, 1))
+        offsets = rand(rng, (1, 1, 4, 4), 0.0, 0.3)
+        image = rng.uniform(size=(1, 3, 4, 4))
+
+        def build(x):
+            return ad.conv2d(x, weight, bias, stride=2) if op == "conv2d" else ad.grid_sample_bilinear(x, offsets)
+
+        frozen, trainable = build(ad.Tensor(image)), build(ad.Tensor(image, requires_grad=True))
+        g = rng.uniform(size=frozen.shape)
+        skipped, full = frozen._vjp(g), trainable._vjp(g)
+        assert skipped[0] is None and full[0].shape == image.shape
+        assert all(np.array_equal(a, b) for a, b in zip(skipped[1:], full[1:]))
+
     def test_reused_node_accumulates_via_two_paths(self):
         x = ad.Tensor(np.full((1, 1, 1, 1), 3.0), requires_grad=True)
         y = ad.add(ad.mul(x, x), x)  # d/dx = 2x + 1

@@ -66,23 +66,23 @@ class TestReconstruct:
 class TestAppearance:
     def test_identical_images_zero(self):
         img = rand_image(4)
-        assert ls.appearance_loss(img, img, ls.LossWeights()).item() == 0.0
+        assert ls.appearance_loss(img, img).item() == 0.0
 
     def test_ssim_self_identity(self):
         img = rand_image(5)
         assert np.allclose(ls.ssim(img, img).values, 1.0)
 
     def test_constant_pair_closed_form(self):
-        w = ls.LossWeights()
         x, y = 0.2, 0.7
         a = const_image(x)
         b = const_image(y)
         # hand evaluation: sigmas vanish on constants
         ssim_val = ((2 * x * y + ls.SSIM_C1) * ls.SSIM_C2) / ((x * x + y * y + ls.SSIM_C1) * ls.SSIM_C2)
-        expected = w.alpha_ssim * (1 - ssim_val) / 2 + (1 - w.alpha_ssim) * 0.5
-        assert ls.appearance_loss(a, b, w).item() == pytest.approx(expected, abs=1e-12)
-        l1_only = ls.appearance_loss(a, b, ls.LossWeights(alpha_ssim=0.0)).item()
-        assert l1_only == pytest.approx(0.5, abs=1e-12)
+        loss = ls.appearance_loss(a, b).item()
+        assert loss == pytest.approx(0.85 * (1 - ssim_val) / 2 + 0.15 * abs(x - y), abs=1e-12)
+        # the L1 share: what the 0.85 SSIM share leaves is 0.15 * mean |a - b|
+        l1 = (loss - 0.85 * (1 - ssim_val) / 2) / 0.15
+        assert l1 == pytest.approx(0.5, abs=1e-10)
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 10_000))
@@ -90,7 +90,7 @@ class TestAppearance:
         rng = np.random.default_rng(seed)
         a = ad.Tensor(rng.uniform(0, 1, (1, 3, 6, 6)))
         b = ad.Tensor(rng.uniform(0, 1, (1, 3, 6, 6)))
-        val = ls.appearance_loss(a, b, ls.LossWeights()).item()
+        val = ls.appearance_loss(a, b).item()
         assert 0.0 <= val <= 1.0
 
 
@@ -221,8 +221,8 @@ class TestTotalLoss:
         for s in range(4):
             d_l, d_r = left_set.maps[s], right_set.maps[s]
             app = (
-                ls.appearance_loss(li[s], ls.reconstruct(ri[s], d_l, "left"), w).item()
-                + ls.appearance_loss(ri[s], ls.reconstruct(li[s], d_r, "right"), w).item()
+                ls.appearance_loss(li[s], ls.reconstruct(ri[s], d_l, "left")).item()
+                + ls.appearance_loss(ri[s], ls.reconstruct(li[s], d_r, "right")).item()
             ) / 2
             lr = ls.lr_consistency_loss(d_l, d_r).item() * w.lr_consistency
             manual += w.scale_factors[s] * (app + lr)
@@ -253,16 +253,12 @@ class TestLossWeights:
         (dict(smoothness=-1.0), "smoothness weight must be >= 0"),
         (dict(lr_consistency=-0.1), "lr_consistency weight must be >= 0"),
         (dict(occlusion=float("nan")), "occlusion weight must be >= 0"),
-        (dict(alpha_ssim=1.5), "alpha_ssim must lie in"),
-        (dict(alpha_ssim=-0.1), "alpha_ssim must lie in"),
     ], ids=["two_factors", "five_factors", "negative_factor", "negative_smoothness",
-            "negative_lr_consistency", "nan_occlusion", "alpha_above_1", "alpha_below_0"])
+            "negative_lr_consistency", "nan_occlusion"])
     def test_invalid_rejected(self, kwargs, match):
         with pytest.raises(ConfigError, match=match):
             ls.LossWeights(**kwargs)
 
-    def test_zero_weights_and_alpha_bounds_accepted(self):
-        for alpha in (0.0, 1.0):
-            w = ls.LossWeights(alpha_ssim=alpha, smoothness=0, lr_consistency=0, occlusion=0,
-                               scale_factors=[0, 0, 0, 1])
-            assert w.scale_factors == (0.0, 0.0, 0.0, 1.0)
+    def test_zero_weights_accepted(self):
+        w = ls.LossWeights(smoothness=0, lr_consistency=0, occlusion=0, scale_factors=[0, 0, 0, 1])
+        assert w.scale_factors == (0.0, 0.0, 0.0, 1.0)

@@ -16,7 +16,7 @@ from fusiondepth import network as nw
 
 
 def small_cfg(**overrides):
-    base = dict(num_levels=3, widths=(4, 6, 8), kernel_size=3)
+    base = dict(num_levels=3, widths=(4, 6, 8))
     base.update(overrides)
     return nw.ArchConfig(**base)
 
@@ -33,14 +33,6 @@ class TestArchConfig:
     def test_rejects_width_mismatch(self):
         with pytest.raises(nw.ConfigError):
             nw.ArchConfig(num_levels=3, widths=(4, 4))
-
-    def test_rejects_even_kernel(self):
-        with pytest.raises(nw.ConfigError):
-            small_cfg(kernel_size=4)
-
-    def test_rejects_reservation_out_of_range(self):
-        with pytest.raises(nw.ConfigError):
-            small_cfg(reservation=1.0)
 
 
 class TestEncoder:
@@ -121,21 +113,17 @@ class TestFusion:
         assert nw.fusion_members(3, 5) == [2, 3, 4]
 
     def test_budgets_consume_width_exactly(self):
-        same, per = nw.channel_budgets(16, 0.5, 2)
+        same, per = nw.channel_budgets(16, 2)
         assert same == 8 and per == 4
         assert same + 2 * per == 16
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        st.integers(4, 256),
-        st.floats(1 / 3, 0.9, allow_nan=False),
-        st.integers(1, 2),
-    )
-    def test_reservation_keeps_same_level_widest(self, width, ratio, n):
-        same, per = nw.channel_budgets(width, ratio, n)
+    @given(st.integers(4, 256), st.integers(1, 2))
+    def test_reservation_keeps_same_level_widest(self, width, n):
+        same, per = nw.channel_budgets(width, n)
         assert same + n * per == width
         assert per >= 1
-        assert same >= per  # holds for any ratio >= 1/3
+        assert same >= per
 
     def test_fused_extents_match_level(self):
         net = nw.DepthNet(small_cfg(), seed=0)
@@ -146,7 +134,7 @@ class TestFusion:
             assert fused.shape == pyramid[p - 1].shape
 
     def test_disabled_fusion_is_single_conv(self):
-        net = nw.DepthNet(small_cfg(fusion_enabled=False), seed=0)
+        net = nw.DepthNet(small_cfg(fusion=False), seed=0)
         names = [name for name, _ in net.parameters()]
         assert not any(".proj_" in n for n in names)
         assert "fusion.1.conv.weight" in names
@@ -168,7 +156,7 @@ class TestDecoderAndHeads:
 
     def test_no_coordconv_shrinks_each_stage_by_three(self):
         with_cc = nw.DepthNet(small_cfg(), seed=0)
-        without = nw.DepthNet(small_cfg(coordconv_enabled=False), seed=0)
+        without = nw.DepthNet(small_cfg(coordconv=False), seed=0)
         for p in with_cc.decoder:
             if p >= 1:
                 gap = with_cc.decoder[p].weight.shape[1] - without.decoder[p].weight.shape[1]
@@ -237,7 +225,7 @@ class TestRefinement:
             assert np.array_equal(maps[s], np.repeat(np.repeat(maps[3], factor, axis=2), factor, axis=3))
 
     def test_disabled_refinement_uses_direct_heads(self):
-        net = nw.DepthNet(small_cfg(refinement_enabled=False), seed=0)
+        net = nw.DepthNet(small_cfg(refinement=False), seed=0)
         names = [name for name, _ in net.parameters()]
         assert not any(n.startswith("refine.") for n in names)
         assert {"head.0.conv.weight", "head.1.conv.weight", "head.2.conv.weight", "head.3.conv.weight"} <= set(names)
@@ -250,14 +238,14 @@ class TestParameterAudit:
         return {name for name, _ in nw.DepthNet(small_cfg(**overrides), seed=0).parameters()}
 
     def test_fusion_flag_touches_only_fusion_projections(self):
-        delta = self.names() ^ self.names(fusion_enabled=False)
+        delta = self.names() ^ self.names(fusion=False)
         assert delta and all(".proj_" in n for n in delta)
 
     def test_coordconv_flag_touches_no_names(self):
-        assert self.names() == self.names(coordconv_enabled=False)
+        assert self.names() == self.names(coordconv=False)
 
     def test_refinement_flag_swaps_heads_for_refiners(self):
-        delta = self.names() ^ self.names(refinement_enabled=False)
+        delta = self.names() ^ self.names(refinement=False)
         expected_prefixes = ("refine.", "head.0.", "head.1.", "head.2.", "decoder.0.")
         assert delta and all(n.startswith(expected_prefixes) for n in delta)
 
@@ -284,16 +272,12 @@ class TestCheckpoint:
         self.roundtrip(tmp_path, cfg)
 
     def test_roundtrip_infers_ablated_configs(self, tmp_path):
-        loaded = self.roundtrip(tmp_path, small_cfg(fusion_enabled=False), tag="nofuse")
-        assert not loaded.cfg.fusion_enabled
-        loaded = self.roundtrip(tmp_path, small_cfg(coordconv_enabled=False), tag="nocc")
-        assert not loaded.cfg.coordconv_enabled
-        loaded = self.roundtrip(tmp_path, small_cfg(refinement_enabled=False), tag="noref")
-        assert not loaded.cfg.refinement_enabled
-
-    def test_roundtrip_nondefault_reservation(self, tmp_path):
-        loaded = self.roundtrip(tmp_path, small_cfg(widths=(16, 32, 64), reservation=0.4), tag="res")
-        assert loaded.cfg.fusion_enabled
+        loaded = self.roundtrip(tmp_path, small_cfg(fusion=False), tag="nofuse")
+        assert not loaded.cfg.fusion
+        loaded = self.roundtrip(tmp_path, small_cfg(coordconv=False), tag="nocc")
+        assert not loaded.cfg.coordconv
+        loaded = self.roundtrip(tmp_path, small_cfg(refinement=False), tag="noref")
+        assert not loaded.cfg.refinement
 
     def test_load_keeps_every_record(self, tmp_path):
         # trained-like weights: the refinement modules no longer sit at the identity
@@ -371,7 +355,8 @@ class TestCheckpoint:
         assert list(state) == [name for name, _ in net.parameters()]
 
     @pytest.mark.parametrize("corrupt,match", [
-        pytest.param(lambda h, r: b"FDPT1" + r, "FDPT1 checkpoint carries no architecture header", id="fdpt1"),
+        pytest.param(lambda h, r: b"FDPT1" + r, r"bad magic b'FDPT1', expected b'FDPT3'", id="fdpt1"),
+        pytest.param(lambda h, r: b"FDPT2" + join(h, r)[5:], r"bad magic b'FDPT2', expected b'FDPT3'", id="fdpt2"),
         pytest.param(lambda h, r: join(h, r)[:7], "truncated header length at byte 5", id="short_header_length"),
         pytest.param(lambda h, r: nw.CHECKPOINT_MAGIC + struct.pack("<I", 1 << 20) + h + r,
                      "header at byte 9 runs past end", id="header_past_end"),
@@ -379,9 +364,9 @@ class TestCheckpoint:
         pytest.param(lambda h, r: join(h + b"arch.depth = 2\n", r), "byte 9: .*unknown key 'arch.depth'",
                      id="unknown_header_key"),
         pytest.param(lambda h, r: join(h.replace(b"levels = 3", b"levels = three"), r),
-                     "byte 9: .*bad value for arch.levels", id="bad_header_value"),
-        pytest.param(lambda h, r: join(h.replace(b"kernel = 3", b"kernel = 4"), r),
-                     "byte 9: .*kernel size must be odd", id="invalid_arch"),
+                     "byte 9: .*bad value for arch.num_levels", id="bad_header_value"),
+        pytest.param(lambda h, r: join(h.replace(b"levels = 3", b"levels = 2"), r),
+                     "byte 9: .*need at least 3 levels", id="invalid_arch"),
         pytest.param(lambda h, r: join(h.replace(b"d_max = 0.3", b"d_max = nan"), r),
                      "byte 9: .*d_max must be positive and finite, got nan", id="nan_d_max"),
         pytest.param(lambda h, r: join(h.replace(b"arch.d_max", b"# arch.d_max"), r),

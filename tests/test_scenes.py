@@ -243,8 +243,9 @@ class TestDataset:
     def test_round_trip(self, tmp_path):
         specs = self.specs()
         write_dataset(tmp_path, specs)
-        samples, baseline, focal = load_dataset(tmp_path)
+        samples, baseline, focal, indices = load_dataset(tmp_path)
         assert (baseline, focal) == (0.5, 480.0)
+        assert indices == ["000000", "000001", "000002"]
         assert len(samples) == 3
         for spec, sample in zip(specs, samples):
             fresh = render_stereo(spec)

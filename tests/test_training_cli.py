@@ -3,6 +3,7 @@
 import os
 import re
 import shlex
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from fusiondepth import autodiff as ad
 from fusiondepth import cli, netpbm
 from fusiondepth import training as tr
-from fusiondepth.network import ARCH_KEYS, ArchConfig, DepthNet, image_batch, load_checkpoint, save_checkpoint
+from fusiondepth.network import ArchConfig, DepthNet, image_batch, load_checkpoint, save_checkpoint
 from fusiondepth.scenes import SceneError, random_scene, render_stereo, write_dataset
 
 
@@ -23,24 +24,24 @@ class TestAdam:
     def test_first_step_magnitude(self):
         # bias correction makes the first update lr-sized regardless of gradient scale
         p = leaf(1.0)
-        opt = tr.Adam([p], tr.TrainConfig(lr=0.1))
+        opt = tr.Adam([p], 0.1)
         opt.step({p: np.full(p.shape, 1.0)})
         assert p.values[0, 0, 0, 0] == pytest.approx(0.9, abs=1e-8)
         p2 = leaf(1.0)
-        opt2 = tr.Adam([p2], tr.TrainConfig(lr=0.1))
+        opt2 = tr.Adam([p2], 0.1)
         opt2.step({p2: np.full(p2.shape, 1e-3)})
         assert p2.values[0, 0, 0, 0] == pytest.approx(0.9, abs=1e-5)
 
     def test_step_counter_counts_steps_without_gradients(self):
         p = leaf(1.0)
-        opt = tr.Adam([p], tr.TrainConfig())
+        opt = tr.Adam([p], 1e-4)
         opt.step({p: np.ones(p.shape)})
         opt.step({})
         assert opt.step_count == 2
 
     def test_missing_gradient_keeps_momentum(self):
         p = leaf(1.0)
-        opt = tr.Adam([p], tr.TrainConfig(lr=0.1))
+        opt = tr.Adam([p], 0.1)
         opt.step({p: np.ones(p.shape)})
         after_first = p.values.copy()
         opt.step({})
@@ -51,7 +52,7 @@ class TestAdam:
         runs = []
         for _ in range(2):
             p = leaf(0.5)
-            opt = tr.Adam([p], tr.TrainConfig(lr=0.01))
+            opt = tr.Adam([p], 0.01)
             for k in range(5):
                 opt.step({p: np.full(p.shape, 0.3 * (k + 1))})
             runs.append(p.values.copy())
@@ -73,7 +74,6 @@ class TestStagePlan:
         cfg = tr.TrainConfig(stage_epochs=(1, 1, 1))
         _, weights = tr.stage_plan(cfg)[2]
         assert weights.smoothness == 0.0 and weights.occlusion == 0.0
-        assert weights.alpha_ssim == cfg.loss.alpha_ssim
         assert weights.lr_consistency == cfg.loss.lr_consistency
 
 
@@ -93,26 +93,24 @@ class TestParseConfig:
     def test_full_override(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text(
-            "arch.levels = 3\n"
+            "arch.num_levels = 3\n"
             "arch.widths = 4, 6, 8\n"
-            "arch.reservation = 0.4\n"
             "arch.coordconv = false\n"
             "arch.d_max = 0.25\n"
-            "loss.alpha_ssim = 0.8\n"
+            "loss.smoothness = 0.2\n"
             "loss.scale_factors = 1, 0.5, 0.25, 0.2\n"
             "train.lr = 0.001\n"
             "train.stage_epochs = 2, 1, 1\n"
             "train.seed = 7\n"
             "train.checkpoint_dir = out\n"
-            "data.dir = somewhere\n"
+            "train.dataset_dir = somewhere\n"
         )
         cfg = tr.parse_config(path)
         assert cfg.arch.num_levels == 3
         assert cfg.arch.widths == (4, 6, 8)
-        assert cfg.arch.reservation == 0.4
-        assert not cfg.arch.coordconv_enabled
+        assert not cfg.arch.coordconv
         assert cfg.arch.d_max == 0.25
-        assert cfg.loss.alpha_ssim == 0.8
+        assert cfg.loss.smoothness == 0.2
         assert cfg.loss.scale_factors == (1.0, 0.5, 0.25, 0.2)
         assert cfg.lr == 0.001
         assert cfg.stage_epochs == (2, 1, 1)
@@ -127,7 +125,7 @@ class TestParseConfig:
 
     def test_hash_inside_a_value_is_kept(self, tmp_path):
         path = tmp_path / "cfg.txt"
-        path.write_text("train.checkpoint_dir = runs#1  # trailing comment\ndata.dir = a#b\t# after a tab\n")
+        path.write_text("train.checkpoint_dir = runs#1  # trailing comment\ntrain.dataset_dir = a#b\t# after a tab\n")
         cfg = tr.parse_config(path)
         assert cfg.checkpoint_dir == "runs#1" and cfg.dataset_dir == "a#b"
         path.write_text(tr.format_config_lines(tr.CONFIG_KEYS, cfg, cfg.arch, cfg.loss))
@@ -157,9 +155,33 @@ class TestParseConfig:
         with pytest.raises(tr.ConfigError):
             tr.parse_config(path)
 
+    @pytest.mark.parametrize("line", ["arch.kernel = 3", "arch.reservation = 0.5", "loss.alpha_ssim = 0.85",
+                                      "train.beta1 = 0.9", "train.eps = 1e-08", "arch.levels = 5", "data.dir = data"])
+    def test_removed_or_renamed_key_names_file_line_and_key(self, tmp_path, line):
+        path = tmp_path / "cfg.txt"
+        path.write_text(f"train.lr = 0.01\n{line}\n")
+        key = line.split(" = ")[0]
+        with pytest.raises(tr.ConfigError, match=re.escape(f"{path}:2: unknown key {key!r}")):
+            tr.parse_config(path)
+
+    def test_non_utf8_file_names_file_and_line(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_bytes(b"train.lr = 0.01\ntrain.checkpoint_dir = caf\xe9\n")
+        with pytest.raises(tr.ConfigError, match=re.escape(f"{path}:2: ") + ".*can't decode byte 0xe9"):
+            tr.parse_config(path)
+
+    def test_keys_are_section_dot_field(self):
+        expected = {f"{section}.{f.name}" for section, cls in (("arch", ArchConfig), ("loss", tr.LossWeights),
+                                                               ("train", tr.TrainConfig))
+                    for f in fields(cls) if f.name not in ("arch", "loss")}
+        assert set(tr.CONFIG_KEYS) == expected and len(tr.CONFIG_KEYS) == 16
+        assert all(tr.CONFIG_KEYS[key][1] == key.split(".", 1)[1] for key in tr.CONFIG_KEYS)
+        assert tr.ARCH_KEYS == {key: row for key, row in tr.CONFIG_KEYS.items() if key.startswith("arch.")}
+        assert len(tr.default_config_text().splitlines()) == 1 + 16
+
     @pytest.mark.parametrize("line, match", [
         ("train.lr = -1", "learning rate must be positive"),
-        ("arch.levels = 2", "need at least 3 levels"),
+        ("arch.num_levels = 2", "need at least 3 levels"),
         ("loss.scale_factors = 1.0, 0.5", "need 4 scale factors"),
     ])
     def test_range_error_names_file(self, tmp_path, line, match):
@@ -269,12 +291,12 @@ def trained(tmp_path_factory):
                      "--seed", "1", "--width", "32", "--height", "32"]) == 0
     cfg_path = root / "train.cfg"
     cfg_path.write_text(
-        "arch.levels = 3\n"
+        "arch.num_levels = 3\n"
         "arch.widths = 4, 6, 8\n"
         "train.lr = 1e-3\n"
         "train.stage_epochs = 1, 1, 1\n"
         f"train.checkpoint_dir = {root / 'ckpt'}\n"
-        f"data.dir = {data_dir}\n"
+        f"train.dataset_dir = {data_dir}\n"
     )
     assert cli.main(["train", "--config", str(cfg_path)]) == 0
     return root
@@ -316,17 +338,21 @@ class TestCli:
                                       "arch.d_max = nan", "train.seed = -1"])
     def test_invalid_loss_weights_exit_1_before_training(self, tmp_path, capsys, line):
         cfg_path = tmp_path / "train.cfg"
-        cfg_path.write_text(f"{line}\ntrain.checkpoint_dir = {tmp_path / 'ckpt'}\ndata.dir = {tmp_path / 'data'}\n")
+        cfg_path.write_text(f"{line}\ntrain.checkpoint_dir = {tmp_path / 'ckpt'}\ntrain.dataset_dir = {tmp_path / 'data'}\n")
         assert cli.main(["train", "--config", str(cfg_path)]) == 1
         out, err = capsys.readouterr()
-        assert err.startswith(f"error: {cfg_path}: ") and "epoch" not in out
+        key = line.split(" = ")[0]
+        # the SSIM share and Adam's betas and eps are constants: their old keys fail as unknown at line 1
+        removed = key in ("loss.alpha_ssim", "train.beta1", "train.beta2", "train.eps")
+        prefix = f"error: {cfg_path}:1: unknown key {key!r}" if removed else f"error: {cfg_path}: "
+        assert err.startswith(prefix) and "epoch" not in out
         assert not (tmp_path / "ckpt").exists()
 
     def test_indivisible_extents_exit_1_before_training(self, tmp_path, capsys):
         data_dir = tmp_path / "data"
         write_dataset(data_dir, [random_scene(0, width=48, height=48)])
         cfg_path = tmp_path / "train.cfg"
-        cfg_path.write_text(f"train.checkpoint_dir = {tmp_path / 'ckpt'}\ndata.dir = {data_dir}\n")
+        cfg_path.write_text(f"train.checkpoint_dir = {tmp_path / 'ckpt'}\ntrain.dataset_dir = {data_dir}\n")
         assert cli.main(["train", "--config", str(cfg_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: dataset at {data_dir}: input extents 48x48 must be divisible by 2^5")
@@ -336,7 +362,7 @@ class TestCli:
         data_dir = tmp_path / "data"
         assert cli.main(["gen-data", "--out", str(data_dir), "--count", "0"]) == 0
         cfg_path = tmp_path / "train.cfg"
-        cfg_path.write_text(f"train.checkpoint_dir = {tmp_path / 'ckpt'}\ndata.dir = {data_dir}\n")
+        cfg_path.write_text(f"train.checkpoint_dir = {tmp_path / 'ckpt'}\ntrain.dataset_dir = {data_dir}\n")
         checkpoint = tmp_path / "net.fdpt"
         save_checkpoint(checkpoint, DepthNet(tiny_arch()))
         capsys.readouterr()
@@ -393,17 +419,16 @@ class TestCli:
         write_dataset(data_dir, [random_scene(s, width=32, height=32) for s in range(2)])
         cfg_path = tmp_path / "train.cfg"
         cfg_path.write_text(
-            "arch.levels = 3\n"
+            "arch.num_levels = 3\n"
             "arch.widths = 4, 6, 8\n"
             f"arch.{key} = false\n"
             "train.stage_epochs = 1, 1, 1\n"
             f"train.checkpoint_dir = {tmp_path / 'ckpt'}\n"
-            f"data.dir = {data_dir}\n"
+            f"train.dataset_dir = {data_dir}\n"
         )
         assert cli.main(["train", "--config", str(cfg_path)]) == 0
         final = tmp_path / "ckpt" / "final.fdpt"
-        _, field = ARCH_KEYS[f"arch.{key}"]
-        assert getattr(load_checkpoint(final).cfg, field) is False
+        assert getattr(load_checkpoint(final).cfg, key) is False
         capsys.readouterr()
         assert cli.main(["eval", "--checkpoint", str(final), "--data", str(data_dir), "--pp"]) == 0
         lines = capsys.readouterr().out.splitlines()
