@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .network import ConfigError
 
 SSIM_C1 = 0.01 ** 2
 SSIM_C2 = 0.03 ** 2
@@ -24,23 +23,13 @@ SSIM_SHARE = 0.85  # of the appearance term; L1 takes the rest (Monodepth's blen
 
 @dataclass
 class LossWeights:
-    """Term weights and per-scale factors; a weight or factor of 0 leaves
-    that term or scale out of the graph."""
+    """Term weights and per-scale factors of one training stage; the defaults
+    are Monodepth's, and a weight or factor of 0 leaves that term or scale
+    out of the graph. Left-right consistency always has weight 1."""
 
     smoothness: float = 0.1
-    lr_consistency: float = 1.0
     occlusion: float = 0.01
     scale_factors: tuple = (1.0, 0.5, 0.25, 0.125)
-
-    def __post_init__(self):
-        self.scale_factors = tuple(float(f) for f in self.scale_factors)
-        if len(self.scale_factors) != 4:
-            raise ConfigError(f"need 4 scale factors, got {len(self.scale_factors)}")
-        for name in ("smoothness", "lr_consistency", "occlusion"):
-            if not getattr(self, name) >= 0.0:
-                raise ConfigError(f"{name} weight must be >= 0, got {getattr(self, name)}")
-        if not all(f >= 0.0 for f in self.scale_factors):
-            raise ConfigError(f"scale factors must be >= 0, got {self.scale_factors}")
 
 
 def reconstruct(source, disparity, direction):
@@ -124,11 +113,11 @@ def image_pyramid(image):
 
 def total_loss(left_set, right_set, left, right, weights):
     """Sum over scales of
-    factor_s * (appearance + w_sm*smoothness + w_lr*consistency + w_occ*occlusion),
+    factor_s * (appearance + w_sm*smoothness + consistency + w_occ*occlusion),
     each term averaged over the two eyes. A scale or term whose weight is 0 is
-    not built; appearance has no weight and is always built. `left` and
-    `right` are the (N, 3, H, W) image Tensors the two sets were predicted
-    from."""
+    not built; appearance and consistency have no weight and are always
+    built. `left` and `right` are the (N, 3, H, W) image Tensors the two sets
+    were predicted from."""
     left_images = image_pyramid(left)
     right_images = image_pyramid(right)
     per_scale = []
@@ -143,8 +132,7 @@ def total_loss(left_set, right_set, left, right, weights):
         if weights.smoothness:
             sm = (smoothness_loss(d_l, i_l) + smoothness_loss(d_r, i_r)) * 0.5
             terms.append(sm * weights.smoothness)
-        if weights.lr_consistency:
-            terms.append(lr_consistency_loss(d_l, d_r) * weights.lr_consistency)
+        terms.append(lr_consistency_loss(d_l, d_r))
         if weights.occlusion:
             occ = (occlusion_reg(d_l) + occlusion_reg(d_r)) * 0.5
             terms.append(occ * weights.occlusion)

@@ -10,7 +10,7 @@ logits to disparity once, as d_max * sigmoid. Every conv is 3x3 except the
 1x1 fusion projections of the same and the coarser level, and fusion keeps
 about half of each level's width for the same level. Includes the flat
 `<section>.<field> = value` config syntax and the binary checkpoint format
-("FDPT3"), whose header stores the architecture.
+("FDPT4"), whose header stores the architecture.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ import os
 import re
 import struct
 from collections import defaultdict
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -32,6 +33,16 @@ class ConfigError(ValueError):
     """Invalid architecture or training configuration."""
 
 
+class FieldError(ConfigError):
+    """A range check of dataclass `cls` failed; `names` are the fields it
+    reads, the one it checks first."""
+
+    def __init__(self, cls, names, message):
+        super().__init__(message)
+        self.cls = cls
+        self.names = names
+
+
 @dataclass
 class ArchConfig:
     num_levels: int = 5
@@ -39,20 +50,17 @@ class ArchConfig:
     coordconv: bool = True
     fusion: bool = True
     refinement: bool = True
-    d_max: float = 0.3
+    d_max: ClassVar[float] = 0.3  # max disparity as a fraction of image width; a constant, not a key
 
     def __post_init__(self):
         self.widths = tuple(int(w) for w in self.widths)
         if self.num_levels < 3:
-            raise ConfigError(f"need at least 3 levels, got {self.num_levels}")
+            raise FieldError(ArchConfig, ("num_levels",), f"need at least 3 levels, got {self.num_levels}")
         if len(self.widths) != self.num_levels:
-            raise ConfigError(
-                f"widths has {len(self.widths)} entries for {self.num_levels} levels"
-            )
+            raise FieldError(ArchConfig, ("widths", "num_levels"),
+                             f"widths has {len(self.widths)} entries for {self.num_levels} levels")
         if any(w < 1 for w in self.widths):
-            raise ConfigError(f"channel widths must be positive: {self.widths}")
-        if not 0.0 < self.d_max < math.inf:  # NaN fails too
-            raise ConfigError(f"d_max must be positive and finite, got {self.d_max}")
+            raise FieldError(ArchConfig, ("widths",), f"channel widths must be positive: {self.widths}")
 
     def check_extents(self, height, width):
         """Each encoder level halves the input, so both extents must divide 2^levels."""
@@ -74,7 +82,7 @@ class ArchConfig:
 #
 # A key table maps each config key to (dataclass, field name). The parser and
 # the formatter of a value follow from the type of the field's default: bool,
-# int, float, str, or a tuple of int / float.
+# int, str, or a tuple of int.
 
 
 def config_keys(section, cls):
@@ -108,8 +116,6 @@ def _format_value(value):
         return "true" if value else "false"
     if isinstance(value, tuple):
         return ", ".join(_format_value(v) for v in value)
-    if isinstance(value, float):
-        return repr(value)  # shortest text that parses back to the same float
     return str(value)
 
 
@@ -118,10 +124,12 @@ def read_config_lines(lines, keys, where):
     at the start of a line or after whitespace starts a comment; `runs#1` is
     a plain value.
 
-    Returns {dataclass: {field: value}}; a key given twice keeps its last
-    value. Errors are ConfigErrors naming `where` and the line number.
+    Returns {dataclass: {field: value}} and {(dataclass, field): (key, line
+    number)}; a key given twice keeps its last value and line. Errors are
+    ConfigErrors naming `where` and the line number.
     """
     values = defaultdict(dict)
+    set_at = {}
     for lineno, raw in enumerate(lines, start=1):
         try:
             raw = raw.decode("utf-8")
@@ -141,22 +149,15 @@ def read_config_lines(lines, keys, where):
             values[cls][name] = _parse_value(value, getattr(cls, name))
         except (ValueError, TypeError) as e:
             raise ConfigError(f"{where}:{lineno}: bad value for {key}: {e}") from None
-    return values
+        set_at[cls, name] = key, lineno
+    return values, set_at
 
 
 def format_config_lines(keys, *objects):
     """One `key = value` line per table row, read from the object of that row's
-    dataclass. A string value that would not read back unchanged (edge
-    whitespace, a line break, a comment mark) is a ConfigError."""
+    dataclass."""
     by_type = {type(obj): obj for obj in objects}
-    lines = []
-    for key, (cls, name) in keys.items():
-        value = getattr(by_type[cls], name)
-        if isinstance(value, str) and (value != value.strip() or len(value.splitlines()) > 1
-                                       or _COMMENT.search(value)):
-            raise ConfigError(f"{key}: {value!r} would not read back unchanged from a config line")
-        lines.append(f"{key} = {_format_value(value)}\n")
-    return "".join(lines)
+    return "".join(f"{key} = {_format_value(getattr(by_type[cls], name))}\n" for key, (cls, name) in keys.items())
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +324,7 @@ class DisparitySet:
     """Per-scale disparity maps; maps[s] has extents (H/2^s, W/2^s) and
     values in (0, d_max) normalized-width units."""
 
-    maps: list = field(default_factory=list)
+    maps: list
 
     def __post_init__(self):
         if len(self.maps) != 4:
@@ -457,12 +458,12 @@ class DepthNet:
 
 
 # ---------------------------------------------------------------------------
-# checkpoint format: b"FDPT3", a uint32 LE header length, the header (the
+# checkpoint format: b"FDPT4", a uint32 LE header length, the header (the
 # arch.* lines of the config syntax, utf-8), then per parameter (in
 # construction order): uint16 LE name length, utf-8 name, 4x uint64 LE
 # extents, float64 LE values in C order.
 
-CHECKPOINT_MAGIC = b"FDPT3"
+CHECKPOINT_MAGIC = b"FDPT4"
 
 
 class CheckpointError(IOError):
@@ -501,7 +502,7 @@ def _read_header(path, f, size):
     if off + hlen > size:
         raise CheckpointError(f"{path}: architecture header at byte {off} runs past end of file")
     try:
-        values = read_config_lines(f.read(hlen).splitlines(), ARCH_KEYS, "header")[ArchConfig]
+        values = read_config_lines(f.read(hlen).splitlines(), ARCH_KEYS, "header")[0][ArchConfig]
         missing = [key for key, (_, name) in ARCH_KEYS.items() if name not in values]
         if missing:
             raise ConfigError(f"missing {', '.join(missing)}")

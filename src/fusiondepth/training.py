@@ -1,14 +1,14 @@
 """Adam, the staged training schedule, and the flat config file format.
 
-Each stage is a LossWeights value. Stage 1 trains with the configured
-weights; stage 2 zeroes the factors of the two coarsest scales; stage 3 also
-zeroes the smoothness and occlusion weights. Per-epoch mean losses append to
-train_log.csv and a checkpoint lands at each stage boundary.
+Each stage is a LossWeights value. Stage 1 trains with the default weights;
+stage 2 zeroes the factors of the two coarsest scales; stage 3 also zeroes
+the smoothness and occlusion weights. Each step takes one scene. Per-epoch
+mean losses append to train_log.csv and a checkpoint lands at each stage
+boundary.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, field, replace
 
@@ -17,9 +17,10 @@ import numpy as np
 from . import autodiff as ad
 from . import scenes
 from .losses import LossWeights, total_loss
-from .network import (ARCH_KEYS, ArchConfig, ConfigError, DepthNet, config_keys, format_config_lines,
-                      image_batch, read_config_lines, save_checkpoint)
+from .network import (ARCH_KEYS, ArchConfig, ConfigError, DepthNet, FieldError, config_keys,
+                      format_config_lines, image_batch, read_config_lines, save_checkpoint)
 
+LEARNING_RATE = 1e-4
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -27,43 +28,35 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class TrainConfig:
-    lr: float = 1e-4
-    batch_size: int = 1
     stage_epochs: tuple = (25, 5, 5)
     seed: int = 0
     dataset_dir: str = ""
     checkpoint_dir: str = "checkpoints"
     arch: ArchConfig = field(default_factory=ArchConfig)
-    loss: LossWeights = field(default_factory=LossWeights)
 
     def __post_init__(self):
         self.stage_epochs = tuple(int(e) for e in self.stage_epochs)
         if len(self.stage_epochs) != 3 or any(e < 0 for e in self.stage_epochs):
-            raise ConfigError(f"stage_epochs must be 3 non-negative integers, got {self.stage_epochs}")
-        # each comparison is written so that NaN fails it
-        if not 0.0 < self.lr < math.inf:
-            raise ConfigError(f"learning rate must be positive and finite, got {self.lr}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch size must be >= 1, got {self.batch_size}")
+            raise FieldError(TrainConfig, ("stage_epochs",),
+                             f"stage_epochs must be 3 non-negative integers, got {self.stage_epochs}")
         if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+            raise FieldError(TrainConfig, ("seed",), f"seed must be >= 0, got {self.seed}")
 
 
 def stage_plan(cfg):
     """(epochs, loss weights) per stage."""
-    f = cfg.loss.scale_factors
-    two_finest = replace(cfg.loss, scale_factors=f[:2] + (0.0, 0.0))
+    full = LossWeights()
+    two_finest = replace(full, scale_factors=full.scale_factors[:2] + (0.0, 0.0))
     fine_tune = replace(two_finest, smoothness=0.0, occlusion=0.0)
-    return list(zip(cfg.stage_epochs, (cfg.loss, two_finest, fine_tune)))
+    return list(zip(cfg.stage_epochs, (full, two_finest, fine_tune)))
 
 
 class Adam:
     """Bias-corrected Adam over a fixed list of leaf tensors, with learning
-    rate `lr` and the usual betas (0.9, 0.999) and eps (1e-8)."""
+    rate 1e-4 and the usual betas (0.9, 0.999) and eps (1e-8)."""
 
-    def __init__(self, tensors, lr):
+    def __init__(self, tensors):
         self.tensors = list(tensors)
-        self.lr = lr
         self.step_count = 0
         self.m = [np.zeros_like(t.values) for t in self.tensors]
         self.v = [np.zeros_like(t.values) for t in self.tensors]
@@ -81,19 +74,18 @@ class Adam:
             if g is not None:
                 m += (1.0 - ADAM_BETA1) * g
                 v += (1.0 - ADAM_BETA2) * g * g
-            t.values -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+            t.values -= LEARNING_RATE * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
-def _train_epoch(net, opt, samples, rng, batch_size, weights):
+def _train_epoch(net, opt, samples, rng, weights):
     order = rng.permutation(len(samples))
     total = 0.0
-    for start in range(0, len(order), batch_size):
-        chunk = [samples[i] for i in order[start:start + batch_size]]
-        left = image_batch([s.left for s in chunk])
-        right = image_batch([s.right for s in chunk])
+    for i in order:
+        left = image_batch([samples[i].left])
+        right = image_batch([samples[i].right])
         loss = total_loss(net.forward(left), net.forward(right), left, right, weights)
         opt.step(ad.backward(loss))
-        total += loss.item() * len(chunk)
+        total += loss.item()
     return total / len(order)
 
 
@@ -104,7 +96,7 @@ def run_schedule(cfg: TrainConfig, log=None):
     os.makedirs(cfg.checkpoint_dir, exist_ok=True)
 
     net = DepthNet(cfg.arch, seed=cfg.seed)
-    opt = Adam([t for _, t in net.parameters()], cfg.lr)
+    opt = Adam([t for _, t in net.parameters()])
     rng = np.random.default_rng(cfg.seed)
 
     log_path = os.path.join(cfg.checkpoint_dir, "train_log.csv")
@@ -115,7 +107,7 @@ def run_schedule(cfg: TrainConfig, log=None):
     for stage_no, (epochs, weights) in enumerate(stage_plan(cfg), start=1):
         for _ in range(epochs):
             epoch += 1
-            mean_loss = _train_epoch(net, opt, samples, rng, cfg.batch_size, weights)
+            mean_loss = _train_epoch(net, opt, samples, rng, weights)
             with open(log_path, "a") as f:
                 f.write(f"{epoch},{stage_no},{mean_loss:.17g}\n")
             if log is not None:
@@ -129,22 +121,24 @@ def run_schedule(cfg: TrainConfig, log=None):
 # flat `key = value` config files
 
 
-# the nested `arch` and `loss` fields have no plain default, so their keys come from their own dataclasses
-CONFIG_KEYS = {**ARCH_KEYS, **config_keys("loss", LossWeights), **config_keys("train", TrainConfig)}
+# the nested `arch` field has no plain default, so its keys come from ArchConfig
+CONFIG_KEYS = {**ARCH_KEYS, **config_keys("train", TrainConfig)}
 
 
 def parse_config(path):
-    """Read a TrainConfig from `<section>.<field> = value` lines of a utf-8 file."""
+    """Read a TrainConfig from `<section>.<field> = value` lines of a utf-8 file.
+    A failed range check names the line of the first field it reads that the
+    file sets; the defaults pass every check, so there is one."""
     with open(path, "rb") as f:
-        values = read_config_lines(f.read().splitlines(), CONFIG_KEYS, path)
+        values, set_at = read_config_lines(f.read().splitlines(), CONFIG_KEYS, path)
     try:
-        return TrainConfig(arch=ArchConfig(**values[ArchConfig]), loss=LossWeights(**values[LossWeights]),
-                           **values[TrainConfig])
-    except ConfigError as e:
-        raise ConfigError(f"{path}: {e}") from None
+        return TrainConfig(arch=ArchConfig(**values[ArchConfig]), **values[TrainConfig])
+    except FieldError as e:
+        key, lineno = next(set_at[e.cls, name] for name in e.names if (e.cls, name) in set_at)
+        raise ConfigError(f"{path}:{lineno}: {key}: {e}") from None
 
 
 def default_config_text():
     """A config file with every key at its default, ready to edit."""
     cfg = TrainConfig(dataset_dir="data")
-    return "# fusiondepth training configuration\n" + format_config_lines(CONFIG_KEYS, cfg, cfg.arch, cfg.loss)
+    return "# fusiondepth training configuration\n" + format_config_lines(CONFIG_KEYS, cfg, cfg.arch)

@@ -149,10 +149,10 @@ class TestDecoderAndHeads:
         assert [m.shape[2:] for m in out.maps] == [(64, 64), (32, 32), (16, 16), (8, 8)]
 
     def test_values_inside_d_max(self):
-        cfg = small_cfg(d_max=0.2)
-        out = nw.DepthNet(cfg, seed=1).forward(rand_image(8, 32, 32))
+        assert nw.ArchConfig.d_max == 0.3
+        out = nw.DepthNet(small_cfg(), seed=1).forward(rand_image(8, 32, 32))
         for m in out.maps:
-            assert m.values.min() > 0.0 and m.values.max() < 0.2
+            assert m.values.min() > 0.0 and m.values.max() < nw.ArchConfig.d_max
 
     def test_no_coordconv_shrinks_each_stage_by_three(self):
         with_cc = nw.DepthNet(small_cfg(), seed=0)
@@ -267,7 +267,8 @@ class TestCheckpoint:
     def test_roundtrip_bit_exact(self, tmp_path):
         self.roundtrip(tmp_path, small_cfg())
 
-    @pytest.mark.parametrize("cfg", [small_cfg(d_max=0.2), nw.ArchConfig()], ids=["d_max", "default_arch"])
+    @pytest.mark.parametrize("cfg", [nw.ArchConfig(num_levels=4, widths=(4, 6, 8, 10)), nw.ArchConfig()],
+                             ids=["four_levels", "default_arch"])
     def test_roundtrip_stores_arch(self, tmp_path, cfg):
         self.roundtrip(tmp_path, cfg)
 
@@ -355,8 +356,10 @@ class TestCheckpoint:
         assert list(state) == [name for name, _ in net.parameters()]
 
     @pytest.mark.parametrize("corrupt,match", [
-        pytest.param(lambda h, r: b"FDPT1" + r, r"bad magic b'FDPT1', expected b'FDPT3'", id="fdpt1"),
-        pytest.param(lambda h, r: b"FDPT2" + join(h, r)[5:], r"bad magic b'FDPT2', expected b'FDPT3'", id="fdpt2"),
+        pytest.param(lambda h, r: b"FDPT1" + r, r"bad magic b'FDPT1', expected b'FDPT4'", id="fdpt1"),
+        pytest.param(lambda h, r: b"FDPT2" + join(h, r)[5:], r"bad magic b'FDPT2', expected b'FDPT4'", id="fdpt2"),
+        pytest.param(lambda h, r: b"FDPT3" + join(h + b"arch.d_max = 0.3\n", r)[5:],
+                     r"bad magic b'FDPT3', expected b'FDPT4'", id="fdpt3"),
         pytest.param(lambda h, r: join(h, r)[:7], "truncated header length at byte 5", id="short_header_length"),
         pytest.param(lambda h, r: nw.CHECKPOINT_MAGIC + struct.pack("<I", 1 << 20) + h + r,
                      "header at byte 9 runs past end", id="header_past_end"),
@@ -367,10 +370,8 @@ class TestCheckpoint:
                      "byte 9: .*bad value for arch.num_levels", id="bad_header_value"),
         pytest.param(lambda h, r: join(h.replace(b"levels = 3", b"levels = 2"), r),
                      "byte 9: .*need at least 3 levels", id="invalid_arch"),
-        pytest.param(lambda h, r: join(h.replace(b"d_max = 0.3", b"d_max = nan"), r),
-                     "byte 9: .*d_max must be positive and finite, got nan", id="nan_d_max"),
-        pytest.param(lambda h, r: join(h.replace(b"arch.d_max", b"# arch.d_max"), r),
-                     "byte 9: missing arch.d_max", id="missing_header_key"),
+        pytest.param(lambda h, r: join(h.replace(b"arch.refinement", b"# arch.refinement"), r),
+                     "byte 9: missing arch.refinement", id="missing_header_key"),
         pytest.param(lambda h, r: join(h.replace(b"fusion = true", b"fusion = false"), r),
                      "records do not match the stored architecture", id="header_disagrees_with_records"),
         pytest.param(lambda h, r: join(h, r[:2] + b"\xff" * name_len(r) + r[2 + name_len(r):]),

@@ -23,25 +23,22 @@ def leaf(value):
 class TestAdam:
     def test_first_step_magnitude(self):
         # bias correction makes the first update lr-sized regardless of gradient scale
-        p = leaf(1.0)
-        opt = tr.Adam([p], 0.1)
-        opt.step({p: np.full(p.shape, 1.0)})
-        assert p.values[0, 0, 0, 0] == pytest.approx(0.9, abs=1e-8)
-        p2 = leaf(1.0)
-        opt2 = tr.Adam([p2], 0.1)
-        opt2.step({p2: np.full(p2.shape, 1e-3)})
-        assert p2.values[0, 0, 0, 0] == pytest.approx(0.9, abs=1e-5)
+        lr = tr.LEARNING_RATE
+        for g in (1.0, 1e-3):
+            p = leaf(1.0)
+            tr.Adam([p]).step({p: np.full(p.shape, g)})
+            assert p.values[0, 0, 0, 0] == pytest.approx(1.0 - lr, abs=1e-3 * lr)
 
     def test_step_counter_counts_steps_without_gradients(self):
         p = leaf(1.0)
-        opt = tr.Adam([p], 1e-4)
+        opt = tr.Adam([p])
         opt.step({p: np.ones(p.shape)})
         opt.step({})
         assert opt.step_count == 2
 
     def test_missing_gradient_keeps_momentum(self):
         p = leaf(1.0)
-        opt = tr.Adam([p], 0.1)
+        opt = tr.Adam([p])
         opt.step({p: np.ones(p.shape)})
         after_first = p.values.copy()
         opt.step({})
@@ -52,7 +49,7 @@ class TestAdam:
         runs = []
         for _ in range(2):
             p = leaf(0.5)
-            opt = tr.Adam([p], 0.01)
+            opt = tr.Adam([p])
             for k in range(5):
                 opt.step({p: np.full(p.shape, 0.3 * (k + 1))})
             runs.append(p.values.copy())
@@ -64,17 +61,17 @@ class TestStagePlan:
         cfg = tr.TrainConfig(stage_epochs=(25, 5, 5))
         plan = tr.stage_plan(cfg)
         assert [epochs for epochs, _ in plan] == [25, 5, 5]
-        f = cfg.loss.scale_factors
-        assert plan[0][1] == cfg.loss
+        full = tr.LossWeights()
+        f = full.scale_factors
+        assert plan[0][1] == full
         assert plan[1][1].scale_factors == f[:2] + (0.0, 0.0)
         assert plan[2][1].scale_factors == f[:2] + (0.0, 0.0)
-        assert plan[1][1].smoothness == cfg.loss.smoothness and plan[1][1].occlusion == cfg.loss.occlusion
+        assert plan[1][1].smoothness == full.smoothness and plan[1][1].occlusion == full.occlusion
 
     def test_final_stage_drops_regularizers(self):
         cfg = tr.TrainConfig(stage_epochs=(1, 1, 1))
         _, weights = tr.stage_plan(cfg)[2]
         assert weights.smoothness == 0.0 and weights.occlusion == 0.0
-        assert weights.lr_consistency == cfg.loss.lr_consistency
 
 
 class TestParseConfig:
@@ -96,10 +93,8 @@ class TestParseConfig:
             "arch.num_levels = 3\n"
             "arch.widths = 4, 6, 8\n"
             "arch.coordconv = false\n"
-            "arch.d_max = 0.25\n"
-            "loss.smoothness = 0.2\n"
-            "loss.scale_factors = 1, 0.5, 0.25, 0.2\n"
-            "train.lr = 0.001\n"
+            "arch.fusion = no\n"
+            "arch.refinement = off\n"
             "train.stage_epochs = 2, 1, 1\n"
             "train.seed = 7\n"
             "train.checkpoint_dir = out\n"
@@ -108,11 +103,7 @@ class TestParseConfig:
         cfg = tr.parse_config(path)
         assert cfg.arch.num_levels == 3
         assert cfg.arch.widths == (4, 6, 8)
-        assert not cfg.arch.coordconv
-        assert cfg.arch.d_max == 0.25
-        assert cfg.loss.smoothness == 0.2
-        assert cfg.loss.scale_factors == (1.0, 0.5, 0.25, 0.2)
-        assert cfg.lr == 0.001
+        assert not cfg.arch.coordconv and not cfg.arch.fusion and not cfg.arch.refinement
         assert cfg.stage_epochs == (2, 1, 1)
         assert cfg.seed == 7
         assert cfg.checkpoint_dir == "out"
@@ -120,22 +111,16 @@ class TestParseConfig:
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = tmp_path / "cfg.txt"
-        path.write_text("# top\n\ntrain.lr = 0.01\n  # indented comment\n")
-        assert tr.parse_config(path).lr == 0.01
+        path.write_text("# top\n\ntrain.seed = 3\n  # indented comment\n")
+        assert tr.parse_config(path).seed == 3
 
     def test_hash_inside_a_value_is_kept(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text("train.checkpoint_dir = runs#1  # trailing comment\ntrain.dataset_dir = a#b\t# after a tab\n")
         cfg = tr.parse_config(path)
         assert cfg.checkpoint_dir == "runs#1" and cfg.dataset_dir == "a#b"
-        path.write_text(tr.format_config_lines(tr.CONFIG_KEYS, cfg, cfg.arch, cfg.loss))
+        path.write_text(tr.format_config_lines(tr.CONFIG_KEYS, cfg, cfg.arch))
         assert tr.parse_config(path) == cfg
-
-    @pytest.mark.parametrize("value", ["runs #1", "#runs", " runs", "runs\t", "a\nb"])
-    def test_unreadable_string_value_rejected_on_format(self, value):
-        cfg = tr.TrainConfig(checkpoint_dir=value)
-        with pytest.raises(tr.ConfigError, match="train.checkpoint_dir"):
-            tr.format_config_lines(tr.CONFIG_KEYS, cfg, cfg.arch, cfg.loss)
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.txt"
@@ -145,51 +130,74 @@ class TestParseConfig:
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "cfg.txt"
-        path.write_text("train.lr 0.01\n")
+        path.write_text("train.seed 1\n")
         with pytest.raises(tr.ConfigError):
             tr.parse_config(path)
 
     def test_bad_value_rejected(self, tmp_path):
         path = tmp_path / "cfg.txt"
-        path.write_text("train.lr = fast\n")
+        path.write_text("train.seed = many\n")
         with pytest.raises(tr.ConfigError):
             tr.parse_config(path)
 
     @pytest.mark.parametrize("line", ["arch.kernel = 3", "arch.reservation = 0.5", "loss.alpha_ssim = 0.85",
-                                      "train.beta1 = 0.9", "train.eps = 1e-08", "arch.levels = 5", "data.dir = data"])
+                                      "train.beta1 = 0.9", "train.eps = 1e-08", "arch.levels = 5", "data.dir = data",
+                                      "arch.d_max = 0.3", "loss.smoothness = 0.1", "loss.lr_consistency = 1.0",
+                                      "loss.occlusion = 0.01", "loss.scale_factors = 1.0, 0.5, 0.25, 0.125",
+                                      "train.lr = 0.0001", "train.batch_size = 1"])
     def test_removed_or_renamed_key_names_file_line_and_key(self, tmp_path, line):
         path = tmp_path / "cfg.txt"
-        path.write_text(f"train.lr = 0.01\n{line}\n")
+        path.write_text(f"train.seed = 1\n{line}\n")
         key = line.split(" = ")[0]
         with pytest.raises(tr.ConfigError, match=re.escape(f"{path}:2: unknown key {key!r}")):
             tr.parse_config(path)
 
     def test_non_utf8_file_names_file_and_line(self, tmp_path):
         path = tmp_path / "cfg.txt"
-        path.write_bytes(b"train.lr = 0.01\ntrain.checkpoint_dir = caf\xe9\n")
+        path.write_bytes(b"train.seed = 1\ntrain.checkpoint_dir = caf\xe9\n")
         with pytest.raises(tr.ConfigError, match=re.escape(f"{path}:2: ") + ".*can't decode byte 0xe9"):
             tr.parse_config(path)
 
     def test_keys_are_section_dot_field(self):
-        expected = {f"{section}.{f.name}" for section, cls in (("arch", ArchConfig), ("loss", tr.LossWeights),
-                                                               ("train", tr.TrainConfig))
-                    for f in fields(cls) if f.name not in ("arch", "loss")}
-        assert set(tr.CONFIG_KEYS) == expected and len(tr.CONFIG_KEYS) == 16
+        expected = {f"{section}.{f.name}" for section, cls in (("arch", ArchConfig), ("train", tr.TrainConfig))
+                    for f in fields(cls) if f.name != "arch"}
+        assert set(tr.CONFIG_KEYS) == expected == {
+            "arch.num_levels", "arch.widths", "arch.coordconv", "arch.fusion", "arch.refinement",
+            "train.stage_epochs", "train.seed", "train.dataset_dir", "train.checkpoint_dir"}
         assert all(tr.CONFIG_KEYS[key][1] == key.split(".", 1)[1] for key in tr.CONFIG_KEYS)
         assert tr.ARCH_KEYS == {key: row for key, row in tr.CONFIG_KEYS.items() if key.startswith("arch.")}
-        assert len(tr.default_config_text().splitlines()) == 1 + 16
+        keys = [line.split(" = ")[0] for line in tr.default_config_text().splitlines()[1:]]
+        assert keys == list(tr.CONFIG_KEYS)
 
     @pytest.mark.parametrize("line, match", [
-        ("train.lr = -1", "learning rate must be positive"),
         ("arch.num_levels = 2", "need at least 3 levels"),
-        ("loss.scale_factors = 1.0, 0.5", "need 4 scale factors"),
+        ("train.seed = -1", "seed must be >= 0"),
+        ("train.stage_epochs = 1, 1", "stage_epochs must be 3 non-negative integers"),
     ])
     def test_range_error_names_file(self, tmp_path, line, match):
         path = tmp_path / "cfg.txt"
         path.write_text(line + "\n")
         with pytest.raises(tr.ConfigError, match=match) as info:
             tr.parse_config(path)
-        assert str(info.value).startswith(f"{path}: ")
+        key = line.split(" = ")[0]
+        assert str(info.value).startswith(f"{path}:1: {key}: ")
+
+    @pytest.mark.parametrize("text, message", [
+        ("train.seed = 1\narch.num_levels = 2\n", "2: arch.num_levels: need at least 3 levels, got 2"),
+        ("train.seed = 1\n\ntrain.stage_epochs = 1, 1\n",
+         "3: train.stage_epochs: stage_epochs must be 3 non-negative integers, got (1, 1)"),
+        # the widths check reads both fields; it names the one the file sets
+        ("train.seed = 1\narch.num_levels = 3\n", "2: arch.num_levels: widths has 5 entries for 3 levels"),
+        ("arch.widths = 4, 6, 8\ntrain.seed = 1\n", "1: arch.widths: widths has 3 entries for 5 levels"),
+        ("arch.widths = 4, 6\narch.num_levels = 3\n", "1: arch.widths: widths has 2 entries for 3 levels"),
+        ("arch.num_levels = 3\narch.widths = 4, 0, 8\n", "2: arch.widths: channel widths must be positive"),
+    ], ids=["num_levels", "stage_epochs", "default_widths", "default_num_levels", "both_set", "zero_width"])
+    def test_range_error_names_line_and_key(self, tmp_path, text, message):
+        path = tmp_path / "cfg.txt"
+        path.write_text(text)
+        with pytest.raises(tr.ConfigError) as info:
+            tr.parse_config(path)
+        assert str(info.value).startswith(f"{path}:{message}")
 
 
 class TestBatch:
@@ -217,20 +225,16 @@ def tiny_arch():
     return ArchConfig(num_levels=3, widths=(4, 6, 8))
 
 
-def tiny_config(root, stage_epochs=(1, 1, 1), **loss_overrides):
+def tiny_config(root):
     data_dir = os.path.join(root, "data")
     if not os.path.isdir(data_dir):
         write_dataset(data_dir, [random_scene(s, width=32, height=32) for s in range(2)])
-    cfg = tr.TrainConfig(
-        lr=1e-3,
-        stage_epochs=stage_epochs,
+    return tr.TrainConfig(
+        stage_epochs=(1, 1, 1),
         dataset_dir=data_dir,
         checkpoint_dir=os.path.join(root, "ckpt"),
         arch=tiny_arch(),
     )
-    for key, value in loss_overrides.items():
-        setattr(cfg.loss, key, value)
-    return cfg
 
 
 class TestRunSchedule:
@@ -261,14 +265,6 @@ class TestRunSchedule:
         final_b = open(os.path.join(cfg_b.checkpoint_dir, "final.fdpt"), "rb").read()
         assert final_a == final_b
 
-    def test_final_stage_ignores_regularizer_weights(self, tmp_path):
-        cfg_a = tiny_config(str(tmp_path), stage_epochs=(0, 0, 2), smoothness=0.1, occlusion=0.01)
-        cfg_b = tiny_config(str(tmp_path), stage_epochs=(0, 0, 2), smoothness=1e6, occlusion=1e6)
-        cfg_b.checkpoint_dir = str(tmp_path / "ckpt_b")
-        _, log_a = tr.run_schedule(cfg_a)
-        _, log_b = tr.run_schedule(cfg_b)
-        assert open(log_a).read() == open(log_b).read()
-
     def test_missing_dataset(self, tmp_path):
         cfg = tr.TrainConfig(dataset_dir=str(tmp_path / "nowhere"), arch=tiny_arch())
         with pytest.raises(FileNotFoundError):
@@ -293,7 +289,6 @@ def trained(tmp_path_factory):
     cfg_path.write_text(
         "arch.num_levels = 3\n"
         "arch.widths = 4, 6, 8\n"
-        "train.lr = 1e-3\n"
         "train.stage_epochs = 1, 1, 1\n"
         f"train.checkpoint_dir = {root / 'ckpt'}\n"
         f"train.dataset_dir = {data_dir}\n"
@@ -342,10 +337,9 @@ class TestCli:
         assert cli.main(["train", "--config", str(cfg_path)]) == 1
         out, err = capsys.readouterr()
         key = line.split(" = ")[0]
-        # the SSIM share and Adam's betas and eps are constants: their old keys fail as unknown at line 1
-        removed = key in ("loss.alpha_ssim", "train.beta1", "train.beta2", "train.eps")
-        prefix = f"error: {cfg_path}:1: unknown key {key!r}" if removed else f"error: {cfg_path}: "
-        assert err.startswith(prefix) and "epoch" not in out
+        # every setting here but the seed is a constant now: its old key fails as unknown at line 1
+        reason = "train.seed: seed must be >= 0" if key == "train.seed" else f"unknown key {key!r}"
+        assert err.startswith(f"error: {cfg_path}:1: {reason}") and "epoch" not in out
         assert not (tmp_path / "ckpt").exists()
 
     def test_indivisible_extents_exit_1_before_training(self, tmp_path, capsys):
