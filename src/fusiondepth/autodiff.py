@@ -3,9 +3,13 @@
 Every value is a (N, C, H, W) numpy array wrapped in a Tensor. Ops record
 their parents and a closure that maps the output gradient to parent
 gradients; backward() walks the resulting graph once in reverse topological
-order and returns the gradient of each trainable leaf it reaches. Binary ops
-take operands of equal shape; nothing broadcasts. Scalars (losses) live in
-shape (1, 1, 1, 1).
+order and returns the gradient of each trainable leaf it reaches. A closure
+keeps its op's parents, output and index data, and derives slopes, signs,
+masks and conv2d's im2col columns from their values when backward runs; only
+grid_sample_bilinear keeps its gathered samples, as a rebuild would gather
+twice. So an op's input values must not be written between its forward and
+backward(); Adam writes the leaves after it. Binary ops take operands of
+equal shape; nothing broadcasts. Scalars (losses) live in shape (1, 1, 1, 1).
 """
 
 from __future__ import annotations
@@ -212,12 +216,10 @@ def shift(x, offset):
 def elu(x):
     """Exponential linear unit: x for x>0, exp(x)-1 otherwise."""
     v = x.values
-    neg = np.expm1(np.minimum(v, 0.0))
-    out = np.where(v > 0.0, v, neg)
-    slope = np.where(v > 0.0, 1.0, neg + 1.0)
+    out = np.where(v > 0.0, v, np.expm1(np.minimum(v, 0.0)))
 
     def vjp(g):
-        return (g * slope,)
+        return (g * np.where(v > 0.0, 1.0, out + 1.0),)
 
     return _tracked(out, (x,), vjp, "elu")
 
@@ -238,10 +240,9 @@ def sigmoid(x):
 
 def absolute(x):
     out = np.abs(x.values)
-    sign = np.sign(x.values)
 
     def vjp(g):
-        return (g * sign,)
+        return (g * np.sign(x.values),)
 
     return _tracked(out, (x,), vjp, "abs")
 
@@ -249,10 +250,9 @@ def absolute(x):
 def clamp01(x):
     """Clip to [0, 1]; gradient is zero where the clip is active."""
     out = np.clip(x.values, 0.0, 1.0)
-    interior = (x.values > 0.0) & (x.values < 1.0)
 
     def vjp(g):
-        return (g * interior,)
+        return (g * ((x.values > 0.0) & (x.values < 1.0)),)
 
     return _tracked(out, (x,), vjp, "clamp")
 
@@ -371,24 +371,36 @@ def pixel_shuffle(x):
 # convolution
 
 
+def _im2col(values, k, stride, ho, wo):
+    """The (N, C*k*k, Ho*Wo) columns of `values` for a k x k kernel with zero
+    padding p = k // 2: a read-only (N, C, k, k, Ho, Wo) strided window over
+    a zeroed (N, C, H+2p, W+2p) copy, reshaped channel-major. For a stride-1
+    1x1 conv (p = 0) they are a view of `values`."""
+    n, c, h, w = values.shape
+    p = k // 2
+    if p:
+        padded = np.zeros((n, c, h + 2 * p, w + 2 * p))
+        padded[:, :, p:p + h, p:p + w] = values
+    else:
+        padded = values
+    s0, s1, s2, s3 = padded.strides
+    windows = np.lib.stride_tricks.as_strided(
+        padded, (n, c, k, k, ho, wo), (s0, s1, s2, s3, stride * s2, stride * s3), writeable=False)
+    return windows.reshape(n, c * k * k, ho * wo)
+
+
 def conv2d(x, weight, bias, stride=1):
-    """2-D cross-correlation with square odd kernels and zero padding k // 2.
+    """2-D cross-correlation of x (N, C, H, W) with filters weight (O, C, k, k),
+    k odd, zero padding p = k // 2 and stride 1 or 2, plus bias (1, O, 1, 1)
+    per output channel.
 
-    Args:
-        x: input (N, C, H, W).
-        weight: filters (O, C, k, k), k odd.
-        bias: (1, O, 1, 1), added per output channel.
-        stride: 1 or 2.
-
-    Output spatial extents follow (H + 2p - k) // stride + 1 with p = k // 2.
-    For p > 0 the input is copied once into the middle of a zeroed
-    (N, C, H+2p, W+2p) buffer. One read-only strided view over that buffer
-    is the (N, C, k, k, Ho, Wo) window, and its reshape lowers it
-    channel-major to cols (N, C*k*k, Ho*Wo), so `wmat @ cols` is already
-    the output in (N, O, Ho, Wo) order. The VJP closure keeps cols, and wmat
-    (O, C*k*k) as a view of the weight; for a stride-1 1x1 conv (p = 0) the
-    window needs no copy, so cols is itself a view of x's values. The VJP
-    builds no input gradient for an x without requires_grad (an image).
+    Output spatial extents follow (H + 2p - k) // stride + 1.
+    The forward is `wmat @ cols`, already in (N, O, Ho, Wo) order, with wmat
+    (O, C*k*k) a view of the weight and cols from _im2col, dropped once the
+    output exists. The VJP closure keeps only x, weight and bias: it rebuilds
+    cols from x's values for the weight gradient, one more im2col per
+    backward instead of holding 9x the input of every 3x3 conv. It builds no
+    input gradient for an x without requires_grad (an image).
     """
     n, c, h, w = x.shape
     o, cw, kh, kw = weight.shape
@@ -407,23 +419,13 @@ def conv2d(x, weight, bias, stride=1):
     if ho < 1 or wo < 1:
         raise ShapeError(f"conv output would be empty for input {x.shape}, kernel {k}, stride {stride}")
 
-    if p:
-        padded = np.zeros((n, c, h + 2 * p, w + 2 * p))
-        padded[:, :, p:p + h, p:p + w] = x.values
-    else:
-        padded = x.values
-    s0, s1, s2, s3 = padded.strides
-    windows = np.lib.stride_tricks.as_strided(
-        padded, (n, c, k, k, ho, wo), (s0, s1, s2, s3, stride * s2, stride * s3), writeable=False)
-    # (N, C, k, k, Ho, Wo) -> (N, C*k*k, Ho*Wo); the reshape does the copy
-    cols = windows.reshape(n, c * k * k, ho * wo)
     wmat = weight.values.reshape(o, c * k * k)
-    out = np.matmul(wmat, cols).reshape(n, o, ho, wo)
+    out = np.matmul(wmat, _im2col(x.values, k, stride, ho, wo)).reshape(n, o, ho, wo)
     out += bias.values
 
     def vjp(g):
         gmat = g.reshape(n, o, ho * wo)
-        gw = np.tensordot(gmat, cols, axes=([0, 2], [0, 2])).reshape(o, c, k, k)
+        gw = np.tensordot(gmat, _im2col(x.values, k, stride, ho, wo), axes=([0, 2], [0, 2])).reshape(o, c, k, k)
         gb = g.sum(axis=(0, 2, 3)).reshape(1, o, 1, 1)
         if not x.requires_grad:
             return None, gw, gb

@@ -183,10 +183,10 @@ def coord_channels(height, width):
     )[None]
 
 
-def image_batch(images):
-    """The (N, 3, H, W) input Tensor for a list of (H, W, 3) images."""
-    # a view of the channel-last stack, not a contiguous copy: the loss's avg_pool means sum in this memory order
-    return ad.Tensor(np.stack(images).transpose(0, 3, 1, 2))
+def image_batch(image):
+    """The (1, 3, H, W) input Tensor of an (H, W, 3) image."""
+    # a channel-last view, not a contiguous copy: the loss's avg_pool means sum in this memory order
+    return ad.Tensor(image[None].transpose(0, 3, 1, 2))
 
 
 @functools.lru_cache(maxsize=64)
@@ -502,11 +502,14 @@ def _read_header(path, f, size):
     if off + hlen > size:
         raise CheckpointError(f"{path}: architecture header at byte {off} runs past end of file")
     try:
-        values = read_config_lines(f.read(hlen).splitlines(), ARCH_KEYS, "header")[0][ArchConfig]
-        missing = [key for key, (_, name) in ARCH_KEYS.items() if name not in values]
+        values, set_at = read_config_lines(f.read(hlen).splitlines(), ARCH_KEYS, "header")
+        missing = [key for key, (_, name) in ARCH_KEYS.items() if name not in values[ArchConfig]]
         if missing:
             raise ConfigError(f"missing {', '.join(missing)}")
-        cfg = ArchConfig(**values)
+        cfg = ArchConfig(**values[ArchConfig])
+    except FieldError as e:  # the header sets every key, so the field checked first names the line
+        key, lineno = set_at[e.cls, e.names[0]]
+        raise CheckpointError(f"{path}: bad architecture header at byte {off}, line {lineno}: {key}: {e}") from None
     except ConfigError as e:
         raise CheckpointError(f"{path}: bad architecture header at byte {off}: {e}") from None
     return cfg, off + hlen

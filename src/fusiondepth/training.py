@@ -81,8 +81,8 @@ def _train_epoch(net, opt, samples, rng, weights):
     order = rng.permutation(len(samples))
     total = 0.0
     for i in order:
-        left = image_batch([samples[i].left])
-        right = image_batch([samples[i].right])
+        left = image_batch(samples[i].left)
+        right = image_batch(samples[i].right)
         loss = total_loss(net.forward(left), net.forward(right), left, right, weights)
         opt.step(ad.backward(loss))
         total += loss.item()

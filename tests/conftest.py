@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -17,6 +18,18 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.line(line)
+
+
+def retained(build):
+    """build() and the bytes that tracemalloc still counts once it has
+    returned: what its result keeps alive."""
+    tracemalloc.start()
+    try:
+        result = build()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held
 
 
 def numeric_grad(build, leaves, step=1e-5):

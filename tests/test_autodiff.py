@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import check_gradients, numeric_grad, analytic_grad, relative_error
+from conftest import check_gradients, numeric_grad, analytic_grad, relative_error, retained
 from fusiondepth import autodiff as ad
 
 
@@ -105,6 +105,22 @@ def direct_conv(x, w, b, g, stride):
                     gxp[ni, :, rows, cols] += g[ni, oi, i, j] * w[oi]
     gx = gxp[:, :, padding:padding + h, padding:padding + wd]
     return out, gx, gw, g.sum(axis=(0, 2, 3)).reshape(1, o, 1, 1)
+
+
+class TestRetention:
+    """An op's output keeps its own values and the tape's bookkeeping; its VJP
+    closure derives what else it needs when backward runs."""
+
+    def test_conv2d_keeps_no_im2col_columns(self):
+        rng = np.random.default_rng(7)
+        x, w, b = rand(rng, (1, 32, 32, 32)), rand(rng, (32, 32, 3, 3)), rand(rng, (1, 32, 1, 1))
+        out, held = retained(lambda: ad.conv2d(x, w, b))
+        assert held <= 1.05 * out.values.nbytes
+
+    def test_elu_keeps_no_slope(self):
+        x = rand(np.random.default_rng(8), (1, 32, 32, 32))
+        out, held = retained(lambda: ad.elu(x))
+        assert held <= 1.05 * out.values.nbytes
 
 
 class TestConv2dOracle:

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import retained
 from fusiondepth import autodiff as ad
 from fusiondepth import network as nw
 
@@ -233,6 +234,23 @@ class TestRefinement:
         assert out.maps[0].shape == (1, 1, 32, 32)
 
 
+class TestTapeRetention:
+    def test_forward_holds_only_its_tensors_values(self):
+        net = nw.DepthNet(nw.ArchConfig(), seed=0)
+        image = rand_image(9, 64, 64)
+        net.forward(image)  # fills the coordinate-channel cache
+        out, held = retained(lambda: net.forward(image))
+        values, seen, stack = {}, set(), list(out.maps)
+        while stack:
+            t = stack.pop()
+            if id(t) not in seen:
+                seen.add(id(t))
+                if t._op != "leaf":
+                    values[id(t.values)] = t.values.nbytes
+                stack.extend(t._parents)
+        assert held <= 1.1 * sum(values.values())
+
+
 class TestParameterAudit:
     def names(self, **overrides):
         return {name for name, _ in nw.DepthNet(small_cfg(**overrides), seed=0).parameters()}
@@ -369,7 +387,7 @@ class TestCheckpoint:
         pytest.param(lambda h, r: join(h.replace(b"levels = 3", b"levels = three"), r),
                      "byte 9: .*bad value for arch.num_levels", id="bad_header_value"),
         pytest.param(lambda h, r: join(h.replace(b"levels = 3", b"levels = 2"), r),
-                     "byte 9: .*need at least 3 levels", id="invalid_arch"),
+                     "byte 9, line 1: arch.num_levels: need at least 3 levels, got 2", id="invalid_arch"),
         pytest.param(lambda h, r: join(h.replace(b"arch.refinement", b"# arch.refinement"), r),
                      "byte 9: missing arch.refinement", id="missing_header_key"),
         pytest.param(lambda h, r: join(h.replace(b"fusion = true", b"fusion = false"), r),

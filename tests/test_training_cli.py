@@ -12,7 +12,7 @@ import pytest
 from fusiondepth import autodiff as ad
 from fusiondepth import cli, netpbm
 from fusiondepth import training as tr
-from fusiondepth.network import ArchConfig, DepthNet, image_batch, load_checkpoint, save_checkpoint
+from fusiondepth.network import ArchConfig, DepthNet, load_checkpoint, save_checkpoint
 from fusiondepth.scenes import SceneError, random_scene, render_stereo, write_dataset
 
 
@@ -206,14 +206,18 @@ class TestBatch:
         net = tr.DepthNet(tiny_arch(), seed=3)
         leaves = [t for _, t in net.parameters()]
 
+        def stacked(images):
+            # the channel-last view image_batch builds for one image, over a stack of several
+            return ad.Tensor(np.stack(images).transpose(0, 3, 1, 2))
+
         def loss_and_grad(chunk):
-            left = image_batch([s.left for s in chunk])
-            right = image_batch([s.right for s in chunk])
+            left = stacked([s.left for s in chunk])
+            right = stacked([s.right for s in chunk])
             loss = tr.total_loss(net.forward(left), net.forward(right), left, right, tr.LossWeights())
             grads = ad.backward(loss)
             return loss.item(), np.concatenate([grads[t].ravel() for t in leaves])
 
-        assert image_batch([s.left for s in samples]).shape == (2, 3, 32, 32)
+        assert stacked([s.left for s in samples]).shape == (2, 3, 32, 32)
         loss, grad = loss_and_grad(samples)
         (loss_0, grad_0), (loss_1, grad_1) = (loss_and_grad([s]) for s in samples)
         assert loss == pytest.approx((loss_0 + loss_1) / 2, rel=1e-12)
