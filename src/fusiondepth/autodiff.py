@@ -3,7 +3,10 @@
 Every value is a (N, C, H, W) numpy array wrapped in a Tensor. Ops record
 their parents and a closure that maps the output gradient to parent
 gradients; backward() walks the resulting graph once in reverse topological
-order and returns the gradient of each trainable leaf it reaches. A closure
+order and returns the gradient of each trainable leaf it reaches. It consumes
+the graph as it goes: once an op's closure has run, the op drops it and its
+parents, so each activation is freed after its last consumer's closure, and
+a graph is differentiated once. A closure
 keeps its op's parents, output and index data, and derives slopes, signs,
 masks and conv2d's im2col columns from their values when backward runs; only
 grid_sample_bilinear keeps its gathered samples, as a rebuild would gather
@@ -25,6 +28,10 @@ class FiniteError(ArithmeticError):
     """A NaN or infinity appeared in a value or gradient."""
 
 
+class SpentGraphError(RuntimeError):
+    """backward() reached an op whose closure an earlier backward() ran."""
+
+
 def _check_finite(values, where):
     if not np.isfinite(values).all():
         raise FiniteError(f"non-finite values in {where}")
@@ -35,7 +42,7 @@ class Tensor:
 
     A leaf created with requires_grad=True is trainable: backward() returns
     its gradient. Everything produced by an op from a trainable input carries
-    a _vjp closure; no tensor stores a gradient.
+    a _vjp closure until backward() runs it; no tensor stores a gradient.
     """
 
     __slots__ = ("values", "requires_grad", "_parents", "_vjp", "_op")
@@ -91,14 +98,19 @@ def _tracked(values, parents, vjp, op):
     return Tensor(values, _op=op)
 
 
+def _spent(g):
+    raise SpentGraphError("this graph was already differentiated; backward() consumes it")
+
+
 def backward(loss):
     """d(loss)/d(leaf) for every trainable leaf the loss reaches.
 
     loss must be a scalar-shaped (1,1,1,1) tensor. Returns a dict from each
     reached leaf with requires_grad=True to its gradient; an unreached leaf
     has no entry. The arrays are for reading: two leaves of one `add` may
-    share an array. Calling it again on the same graph returns equal
-    gradients, nothing accumulates.
+    share an array. The graph is spent afterwards: each op that it ran
+    drops its closure and parents, and a second call that reaches one raises
+    SpentGraphError. Build the graph again to differentiate it again.
     """
     if not isinstance(loss, Tensor):
         raise TypeError("backward expects a Tensor")
@@ -123,16 +135,19 @@ def backward(loss):
 
     grads = {id(loss): np.ones((1, 1, 1, 1), dtype=np.float64)}
     leaf_grads = {}
-    for node in reversed(order):
+    while order:
+        node = order.pop()
         grad = grads.pop(id(node), None)
         if grad is None:
             continue
-        if node._vjp is None:
+        vjp, parents = node._vjp, node._parents
+        if vjp is None:
             if node.requires_grad:
                 _check_finite(grad, "gradient")
                 leaf_grads[node] = grad
             continue
-        for parent, pgrad in zip(node._parents, node._vjp(grad)):
+        node._vjp, node._parents = _spent, ()
+        for parent, pgrad in zip(parents, vjp(grad)):
             if pgrad is None or not parent.requires_grad:
                 continue
             held = grads.get(id(parent))

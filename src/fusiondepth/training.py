@@ -24,6 +24,7 @@ LEARNING_RATE = 1e-4
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+ADAM_RUN = 1 << 15  # elements per in-place Adam run: two 256 KiB scratch rows
 
 
 @dataclass
@@ -53,28 +54,54 @@ def stage_plan(cfg):
 
 class Adam:
     """Bias-corrected Adam over a fixed list of leaf tensors, with learning
-    rate 1e-4 and the usual betas (0.9, 0.999) and eps (1e-8)."""
+    rate 1e-4 and the usual betas (0.9, 0.999) and eps (1e-8).
+
+    The moments are flat, and a step updates them and each leaf in place, in
+    runs of ADAM_RUN elements through two scratch rows, so it allocates no
+    array the size of a tensor. The leaves' values must be C-contiguous: the
+    update writes them through a flat view."""
 
     def __init__(self, tensors):
         self.tensors = list(tensors)
+        for t in self.tensors:
+            if not t.values.flags.c_contiguous:
+                raise ValueError(f"Adam updates leaves in place; the values of {t!r} are not C-contiguous")
         self.step_count = 0
-        self.m = [np.zeros_like(t.values) for t in self.tensors]
-        self.v = [np.zeros_like(t.values) for t in self.tensors]
+        self.m = [np.zeros(t.values.size) for t in self.tensors]
+        self.v = [np.zeros(t.values.size) for t in self.tensors]
+        self.scratch_size = min(ADAM_RUN, max((t.values.size for t in self.tensors), default=0))
 
     def step(self, grads):
         """One update from `grads`, the dict ad.backward returns; a tensor
-        without an entry only lets its moments decay."""
+        without an entry only lets its moments decay. Per element, in this
+        order: m*b1 + (1-b1)*g, v*b2 + ((1-b2)*g)*g, then
+        lr*(m/bc1) / (sqrt(v/bc2) + eps) off the value."""
         self.step_count += 1
         bc1 = 1.0 - ADAM_BETA1 ** self.step_count
         bc2 = 1.0 - ADAM_BETA2 ** self.step_count
+        scratch = np.empty((2, self.scratch_size))
         for t, m, v in zip(self.tensors, self.m, self.v):
             g = grads.get(t)
-            m *= ADAM_BETA1
-            v *= ADAM_BETA2
             if g is not None:
-                m += (1.0 - ADAM_BETA1) * g
-                v += (1.0 - ADAM_BETA2) * g * g
-            t.values -= LEARNING_RATE * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+                g = g.reshape(-1)
+            values = t.values.reshape(-1)
+            for i in range(0, values.size, ADAM_RUN):
+                run = slice(i, i + ADAM_RUN)
+                p, mr, vr = values[run], m[run], v[run]
+                a, b = scratch[0, :p.size], scratch[1, :p.size]
+                mr *= ADAM_BETA1
+                vr *= ADAM_BETA2
+                if g is not None:
+                    gr = g[run]
+                    mr += np.multiply(1.0 - ADAM_BETA1, gr, out=a)
+                    np.multiply(1.0 - ADAM_BETA2, gr, out=a)
+                    vr += np.multiply(a, gr, out=a)
+                np.divide(mr, bc1, out=a)
+                a *= LEARNING_RATE
+                np.divide(vr, bc2, out=b)
+                np.sqrt(b, out=b)
+                b += ADAM_EPS
+                p -= np.divide(a, b, out=a)
 
 
 def _train_epoch(net, opt, samples, rng, weights):

@@ -479,12 +479,27 @@ class TestBackward:
         grads = ad.backward(total(ad.mul(x, x)))
         assert np.allclose(grads[x], 2 * x.values)
 
-    def test_repeated_calls_do_not_accumulate(self):
+    def test_second_call_on_a_spent_graph_raises(self):
+        rng = np.random.default_rng(4)
+        x = rand(rng, (1, 2, 3, 3))
+        hidden = ad.elu(ad.conv2d(x, rand(rng, (2, 2, 3, 3)), zero_bias(2)))
+        loss = ad.reduce_mean(hidden)
+        ad.backward(loss)
+        assert hidden._parents == () and loss._parents == ()
+        with pytest.raises(ad.SpentGraphError):
+            ad.backward(loss)
+        with pytest.raises(ad.SpentGraphError):  # a new graph over a spent op
+            ad.backward(ad.reduce_mean(ad.mul(hidden, hidden)))
+
+    def test_graphs_built_alike_give_equal_gradients(self):
         rng = np.random.default_rng(4)
         x = rand(rng, (1, 2, 3, 3))
         w = rand(rng, (2, 2, 3, 3))
-        loss = ad.reduce_mean(ad.elu(ad.conv2d(x, w, zero_bias(2))))
-        first, second = ad.backward(loss), ad.backward(loss)
+
+        def build():
+            return ad.reduce_mean(ad.elu(ad.conv2d(x, w, zero_bias(2))))
+
+        first, second = ad.backward(build()), ad.backward(build())
         assert first.keys() == second.keys() == {x, w}
         assert all(np.array_equal(first[t], second[t]) for t in first)
 

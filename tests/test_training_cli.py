@@ -3,6 +3,7 @@
 import os
 import re
 import shlex
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import pytest
 from fusiondepth import autodiff as ad
 from fusiondepth import cli, netpbm
 from fusiondepth import training as tr
-from fusiondepth.network import ArchConfig, DepthNet, load_checkpoint, save_checkpoint
+from fusiondepth.network import ArchConfig, DepthNet, image_batch, load_checkpoint, save_checkpoint
 from fusiondepth.scenes import SceneError, random_scene, render_stereo, write_dataset
 
 
@@ -54,6 +55,31 @@ class TestAdam:
                 opt.step({p: np.full(p.shape, 0.3 * (k + 1))})
             runs.append(p.values.copy())
         assert np.array_equal(runs[0], runs[1])
+
+
+    def test_runs_match_the_whole_array_update_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        size = 2 * tr.ADAM_RUN + 7  # two full runs and a ragged tail
+        p = ad.Tensor(rng.normal(size=(1, 1, 1, size)), requires_grad=True)
+        ref, m, v = p.values.copy(), np.zeros(p.shape), np.zeros(p.shape)
+        opt = tr.Adam([p])
+        grads = [rng.normal(size=p.shape), None, rng.normal(size=(1, 1, 1, 2 * size))[..., ::2]]
+        assert not grads[2].flags.c_contiguous
+        for k, g in enumerate(grads, start=1):
+            opt.step({} if g is None else {p: g})
+            m *= tr.ADAM_BETA1
+            v *= tr.ADAM_BETA2
+            if g is not None:
+                m += (1.0 - tr.ADAM_BETA1) * g
+                v += (1.0 - tr.ADAM_BETA2) * g * g
+            bc1, bc2 = 1.0 - tr.ADAM_BETA1 ** k, 1.0 - tr.ADAM_BETA2 ** k
+            ref -= tr.LEARNING_RATE * (m / bc1) / (np.sqrt(v / bc2) + tr.ADAM_EPS)
+            assert np.array_equal(p.values, ref)
+
+    def test_rejects_a_leaf_that_is_not_c_contiguous(self):
+        p = ad.Tensor(np.zeros((1, 2, 3, 4)).transpose(0, 1, 3, 2), requires_grad=True)
+        with pytest.raises(ValueError, match="not C-contiguous"):
+            tr.Adam([p])
 
 
 class TestStagePlan:
@@ -223,6 +249,32 @@ class TestBatch:
         assert loss == pytest.approx((loss_0 + loss_1) / 2, rel=1e-12)
         mean_grad = (grad_0 + grad_1) / 2
         assert np.linalg.norm(grad - mean_grad) <= 1e-12 * np.linalg.norm(mean_grad)
+
+
+class TestStepMemory:
+    def test_each_phase_frees_what_it_is_done_with(self):
+        # one default-arch 64x64 step as _train_epoch runs it; traced bytes count from the step's start
+        scene = render_stereo(random_scene(3, width=64, height=64))
+        left, right = image_batch(scene.left), image_batch(scene.right)
+        net = DepthNet(ArchConfig(), seed=0)
+        net.forward(left)  # fills the coordinate-channel cache
+        opt = tr.Adam([t for _, t in net.parameters()])
+        param_bytes = sum(t.values.nbytes for t in opt.tensors)
+        mib = 2 ** 20
+        tracemalloc.start()
+        try:
+            loss = tr.total_loss(net.forward(left), net.forward(right), left, right, tr.LossWeights())
+            tracemalloc.reset_peak()
+            grads = ad.backward(loss)
+            after_backward, backward_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            opt.step(grads)
+            _, adam_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert backward_peak <= 36 * mib  # the tape is freed as backward runs
+        assert after_backward <= 1.05 * param_bytes  # only the leaf gradients remain
+        assert adam_peak - after_backward <= 1 * mib  # no whole-tensor temporaries
 
 
 def tiny_arch():
