@@ -470,7 +470,8 @@ def grid_sample_bilinear(source, offsets):
     Positions are clamped to the border, so gradients w.r.t. offsets vanish
     where sampling has saturated. All-zero offsets reproduce the source
     bit for bit. The VJP builds no source gradient for a source without
-    requires_grad (an image).
+    requires_grad (an image); otherwise one bincount scatters both taps'
+    weights into the source columns, each column summed in a fixed order.
     """
     n, c, h, w = source.shape
     if offsets.shape != (n, 1, h, w):
@@ -483,10 +484,8 @@ def grid_sample_bilinear(source, offsets):
     j1 = np.minimum(j0 + 1, w - 1)
     frac = pos - j0
 
-    idx0 = np.broadcast_to(j0, (n, c, h, w))
-    idx1 = np.broadcast_to(j1, (n, c, h, w))
-    left = np.take_along_axis(source.values, idx0, axis=3)
-    right = np.take_along_axis(source.values, idx1, axis=3)
+    left = np.take_along_axis(source.values, np.broadcast_to(j0, source.shape), axis=3)
+    right = np.take_along_axis(source.values, np.broadcast_to(j1, source.shape), axis=3)
     out = left + frac * (right - left)
 
     inside = (pos_raw > 0.0) & (pos_raw < w - 1.0)
@@ -495,13 +494,10 @@ def grid_sample_bilinear(source, offsets):
         goff = ((right - left) * g).sum(axis=1, keepdims=True) * w * inside
         if not source.requires_grad:
             return None, goff
-        gsrc = np.zeros_like(source.values)
-        flat = gsrc.reshape(n * c * h, w)
-        rows = np.broadcast_to(np.arange(n * c * h)[:, None], (n * c * h, w))
-        gl = (g * (1.0 - frac)).reshape(n * c * h, w)
-        gr = (g * frac).reshape(n * c * h, w)
-        np.add.at(flat, (rows, idx0.reshape(n * c * h, w)), gl)
-        np.add.at(flat, (rows, idx1.reshape(n * c * h, w)), gr)
-        return gsrc, goff
+        row_start = np.arange(0, n * c * h * w, w).reshape(n, c, h, 1)
+        # left taps, then right: bincount adds in input order, so this fixes each column's sum order
+        taps = np.concatenate([(row_start + j0).ravel(), (row_start + j1).ravel()])
+        weights = np.concatenate([(g * (1.0 - frac)).ravel(), (g * frac).ravel()])
+        return np.bincount(taps, weights, minlength=n * c * h * w).reshape(n, c, h, w), goff
 
     return _tracked(out, (source, offsets), vjp, "grid_sample")

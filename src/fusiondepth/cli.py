@@ -24,6 +24,8 @@ def _disparity_px(net, image, use_pp):
 
 
 def _cmd_gen_data(args):
+    if args.count < 1:
+        raise ValueError(f"--count must be at least 1, got {args.count}")
     specs = [
         scenes.random_scene(args.seed + i, width=args.width, height=args.height, two_layer=bool(i % 2))
         for i in range(args.count)

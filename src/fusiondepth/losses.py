@@ -91,8 +91,8 @@ def smoothness_loss(disparity, image):
 
 def lr_consistency_loss(disp_left, disp_right):
     """Mean projection mismatch, averaged over the two eyes."""
-    right_in_left = ad.grid_sample_bilinear(disp_right, ad.scale(disp_left, -1.0))
-    left_in_right = ad.grid_sample_bilinear(disp_left, disp_right)
+    right_in_left = reconstruct(disp_right, disp_left, "left")
+    left_in_right = reconstruct(disp_left, disp_right, "right")
     term_left = ad.reduce_mean(ad.absolute(ad.sub(disp_left, right_in_left)))
     term_right = ad.reduce_mean(ad.absolute(ad.sub(disp_right, left_in_right)))
     return (term_left + term_right) * 0.5
@@ -115,9 +115,9 @@ def total_loss(left_set, right_set, left, right, weights):
     """Sum over scales of
     factor_s * (appearance + w_sm*smoothness + consistency + w_occ*occlusion),
     each term averaged over the two eyes. A scale or term whose weight is 0 is
-    not built; appearance and consistency have no weight and are always
-    built. `left` and `right` are the (N, 3, H, W) image Tensors the two sets
-    were predicted from."""
+    not built, but every stage keeps scale 0; appearance and consistency have
+    no weight and are always built. `left` and `right` are the (N, 3, H, W)
+    image Tensors the two sets were predicted from."""
     left_images = image_pyramid(left)
     right_images = image_pyramid(right)
     per_scale = []
@@ -137,4 +137,4 @@ def total_loss(left_set, right_set, left, right, weights):
             occ = (occlusion_reg(d_l) + occlusion_reg(d_r)) * 0.5
             terms.append(occ * weights.occlusion)
         per_scale.append(sum(terms[1:], terms[0]) * factor)
-    return sum(per_scale[1:], per_scale[0]) if per_scale else ad.Tensor(np.zeros((1, 1, 1, 1)))
+    return sum(per_scale[1:], per_scale[0])

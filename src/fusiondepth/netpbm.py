@@ -52,29 +52,39 @@ def _parse_header(blob, magic, path):
     return width, height, maxval, pos + 1
 
 
+def _write(path, arr, magic, maxval, dtype):
+    """Write (H, W[, C]) samples, rounded and clipped to [0, maxval], as binary netpbm."""
+    h, w = arr.shape[:2]
+    quantized = np.clip(np.round(arr), 0, maxval).astype(dtype)
+    with open(path, "wb") as f:
+        f.write(magic + f"\n{w} {h}\n{maxval}\n".encode("ascii"))
+        f.write(quantized.tobytes())
+
+
+def _read(path, magic, maxval, dtype, channels):
+    """The (H, W, channels) samples of a binary netpbm file, as float64."""
+    with open(path, "rb") as f:
+        blob = f.read()
+    w, h, found, off = _parse_header(blob, magic, path)
+    if found != maxval:
+        raise FileFormatError(f"{path}: only maxval {maxval} supported, got {found}")
+    expected = w * h * channels * np.dtype(dtype).itemsize
+    payload = blob[off:off + expected]
+    if len(payload) != expected:
+        raise FileFormatError(f"{path}: payload holds {len(payload)} bytes, expected {expected}")
+    return np.frombuffer(payload, dtype=dtype).reshape(h, w, channels).astype(np.float64)
+
+
 def write_ppm(path, image):
     """Write an (H, W, 3) float image in [0, 1] as binary 8-bit PPM."""
     arr = np.asarray(image, dtype=np.float64)
     if arr.ndim != 3 or arr.shape[2] != 3:
         raise FileFormatError(f"PPM wants (H, W, 3) data, got {arr.shape}")
-    h, w, _ = arr.shape
-    quantized = np.clip(np.round(arr * 255.0), 0, 255).astype(np.uint8)
-    with open(path, "wb") as f:
-        f.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        f.write(quantized.tobytes())
+    _write(path, arr * 255.0, b"P6", 255, np.uint8)
 
 
 def read_ppm(path):
-    with open(path, "rb") as f:
-        blob = f.read()
-    w, h, maxval, off = _parse_header(blob, b"P6", path)
-    if maxval != 255:
-        raise FileFormatError(f"{path}: only maxval 255 supported, got {maxval}")
-    expected = w * h * 3
-    payload = blob[off:off + expected]
-    if len(payload) != expected:
-        raise FileFormatError(f"{path}: payload holds {len(payload)} bytes, expected {expected}")
-    return np.frombuffer(payload, dtype=np.uint8).reshape(h, w, 3).astype(np.float64) / 255.0
+    return _read(path, b"P6", 255, np.uint8, 3) / 255.0
 
 
 def write_pgm16(path, values):
@@ -82,21 +92,8 @@ def write_pgm16(path, values):
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 2:
         raise FileFormatError(f"PGM wants (H, W) data, got {arr.shape}")
-    h, w = arr.shape
-    quantized = np.clip(np.round(arr * DISP_SCALE), 0, 65535).astype(">u2")
-    with open(path, "wb") as f:
-        f.write(f"P5\n{w} {h}\n65535\n".encode("ascii"))
-        f.write(quantized.tobytes())
+    _write(path, arr * DISP_SCALE, b"P5", 65535, ">u2")
 
 
 def read_pgm16(path):
-    with open(path, "rb") as f:
-        blob = f.read()
-    w, h, maxval, off = _parse_header(blob, b"P5", path)
-    if maxval != 65535:
-        raise FileFormatError(f"{path}: only maxval 65535 supported, got {maxval}")
-    expected = w * h * 2
-    payload = blob[off:off + expected]
-    if len(payload) != expected:
-        raise FileFormatError(f"{path}: payload holds {len(payload)} bytes, expected {expected}")
-    return np.frombuffer(payload, dtype=">u2").reshape(h, w).astype(np.float64) / DISP_SCALE
+    return _read(path, b"P5", 65535, ">u2", 1)[:, :, 0] / DISP_SCALE

@@ -237,8 +237,6 @@ def channel_budgets(width, n_neighbors):
     its neighbors: same gets round(width/2), the rest is divided evenly.
     Rounding slack folds into the same-level share, and each neighbor is
     capped at width/(n+1) so the same-level slice is never the narrowest."""
-    if n_neighbors == 0:
-        return width, 0
     same = round(width / 2)
     same = min(max(same, 1), width - n_neighbors)
     per = min((width - same) // n_neighbors, width // (n_neighbors + 1))
@@ -258,7 +256,7 @@ class FusionBlock:
         if cfg.fusion:
             members = fusion_members(p, cfg.num_levels)
             same, per = channel_budgets(w_p, len(members) - 1)
-            if per < 1 and len(members) > 1:
+            if per < 1:
                 raise ConfigError(f"level {p} width {w_p} too narrow to split across {len(members)} members")
             # role: (name, output channels, kernel, stride); the finer level is strided down to p
             roles = {p - 1: ("proj_down", per, 3, 2), p: ("proj_same", same, 1, 1), p + 1: ("proj_up", per, 1, 1)}
@@ -321,18 +319,10 @@ class RefineModule:
 
 @dataclass
 class DisparitySet:
-    """Per-scale disparity maps; maps[s] has extents (H/2^s, W/2^s) and
-    values in (0, d_max) normalized-width units."""
+    """The 4 per-scale disparity maps of one `DepthNet.forward`: maps[s] is
+    (N, 1, H/2^s, W/2^s) with values in (0, d_max) normalized-width units."""
 
     maps: list
-
-    def __post_init__(self):
-        if len(self.maps) != 4:
-            raise ConfigError(f"DisparitySet carries exactly 4 scales, got {len(self.maps)}")
-        n, c, h, w = self.maps[0].shape
-        for s, m in enumerate(self.maps):
-            if m.shape != (n, 1, h >> s, w >> s):
-                raise ConfigError(f"scale {s} has shape {m.shape}, expected {(n, 1, h >> s, w >> s)}")
 
 
 class DepthNet:
@@ -493,12 +483,11 @@ def save_checkpoint(path, net):
 
 
 def _read_header(path, f, size):
-    """The ArchConfig stored after the magic, and the offset of the first record."""
-    off = len(CHECKPOINT_MAGIC)
-    if off + 4 > size:
-        raise CheckpointError(f"{path}: truncated header length at byte {off}")
+    """The ArchConfig stored after the magic; leaves `f` at the first record."""
+    if f.tell() + 4 > size:
+        raise CheckpointError(f"{path}: truncated header length at byte {f.tell()}")
     (hlen,) = struct.unpack("<I", f.read(4))
-    off += 4
+    off = f.tell()
     if off + hlen > size:
         raise CheckpointError(f"{path}: architecture header at byte {off} runs past end of file")
     try:
@@ -512,7 +501,7 @@ def _read_header(path, f, size):
         raise CheckpointError(f"{path}: bad architecture header at byte {off}, line {lineno}: {key}: {e}") from None
     except ConfigError as e:
         raise CheckpointError(f"{path}: bad architecture header at byte {off}: {e}") from None
-    return cfg, off + hlen
+    return cfg
 
 
 def read_checkpoint(path):
@@ -526,25 +515,22 @@ def read_checkpoint(path):
         magic = f.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise CheckpointError(f"{path}: bad magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
-        cfg, off = _read_header(path, f, size)
+        cfg = _read_header(path, f, size)
         state = {}
-        while off < size:
-            start = off
-            if off + 2 > size:
+        while (start := f.tell()) < size:
+            if start + 2 > size:
                 raise CheckpointError(f"{path}: truncated record header at byte {start}")
             (nlen,) = struct.unpack("<H", f.read(2))
-            off += 2
-            if off + nlen + 32 > size:
+            if start + 2 + nlen + 32 > size:
                 raise CheckpointError(f"{path}: truncated record at byte {start}")
             try:
                 name = f.read(nlen).decode("utf-8")
             except UnicodeDecodeError:
-                raise CheckpointError(f"{path}: record name at byte {off} is not utf-8") from None
+                raise CheckpointError(f"{path}: record name at byte {start + 2} is not utf-8") from None
             if name in state:
                 raise CheckpointError(f"{path}: duplicate record {name!r} at byte {start}")
-            off += nlen
             shape = struct.unpack("<4Q", f.read(32))
-            off += 32
+            off = f.tell()
             count = math.prod(shape)  # Python ints: huge extents cannot wrap to a small count
             past_end = CheckpointError(f"{path}: payload of {name!r} at byte {off} runs past end of file")
             if 8 * count > size - off:
@@ -553,7 +539,6 @@ def read_checkpoint(path):
             if f.readinto(values) != 8 * count:  # the file shrank after fstat
                 raise past_end
             state[name] = values
-            off += 8 * count
     return cfg, state
 
 

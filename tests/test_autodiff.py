@@ -398,6 +398,29 @@ class TestGridSample:
         grads = ad.backward(total(ad.grid_sample_bilinear(src, offsets)))
         assert np.array_equal(grads[offsets], np.zeros((1, 1, 1, 4)))
 
+    def test_source_gradient_matches_nested_loop_oracle_exactly(self):
+        rng = np.random.default_rng(7)
+        n, c, h, w = 2, 3, 5, 7
+        src = rand(rng, (n, c, h, w))
+        # up to 3 px either way: many positions clamp at both borders, so
+        # several taps of one row land on the same border column
+        offsets = rng.uniform(-3.0, 3.0, size=(n, 1, h, w)) / w
+        g = rng.uniform(-1.0, 1.0, size=(n, c, h, w))
+        gsrc, _ = ad.grid_sample_bilinear(src, ad.Tensor(offsets))._vjp(g)
+
+        expected = np.zeros((n, c, h, w))
+        hits = np.zeros((n, c, h, w), dtype=int)
+        for tap in (0, 1):  # every left tap, then every right tap, each in C order
+            for b, ch, i, j in np.ndindex(n, c, h, w):
+                pos = min(max(j + offsets[b, 0, i, j] * w, 0.0), w - 1.0)
+                j0 = min(int(np.floor(pos)), w - 1)
+                frac = pos - j0
+                col = j0 if tap == 0 else min(j0 + 1, w - 1)
+                expected[b, ch, i, col] += g[b, ch, i, j] * ((1.0 - frac) if tap == 0 else frac)
+                hits[b, ch, i, col] += 1
+        assert hits[..., 0].max() >= 3 and hits[..., -1].max() >= 3
+        assert np.array_equal(gsrc, expected)
+
 
 class TestReduceConcatCrop:
     def test_mean_of_ones(self):

@@ -196,11 +196,6 @@ class TestTotalLoss:
         loss = ls.total_loss(left_set, right_set, *self.images(), weights)
         assert loss.item() == 0.0
 
-    def test_all_scale_factors_zero_gives_zero(self):
-        left_set, right_set = random_disparity_sets(9)
-        loss = ls.total_loss(left_set, right_set, *self.images(), ls.LossWeights(scale_factors=(0, 0, 0, 0)))
-        assert loss.item() == 0.0
-
     def test_disabled_terms_contribute_nothing(self):
         left_set, right_set = random_disparity_sets(9, requires_grad=True)
         left, right = self.images()

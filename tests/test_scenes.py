@@ -69,22 +69,34 @@ class TestNetpbm:
         assert netpbm.read_ppm(path).shape == (2, 2, 3)
 
     def test_wrong_magic_rejected(self, tmp_path):
-        path = tmp_path / "img.ppm"
-        path.write_bytes(b"P3\n2 2\n255\n" + bytes(12))
-        with pytest.raises(netpbm.FileFormatError):
-            netpbm.read_ppm(path)
+        assert_rejected_in_both_formats(tmp_path, "P3\n2 2\n{maxval}\n", 4, "expected {magic} magic, found b'P3'")
 
     def test_wrong_maxval_rejected(self, tmp_path):
-        path = tmp_path / "img.pgm"
-        path.write_bytes(b"P5\n2 2\n255\n" + bytes(4))
-        with pytest.raises(netpbm.FileFormatError):
-            netpbm.read_pgm16(path)
+        assert_rejected_in_both_formats(tmp_path, "{magic}\n2 2\n127\n", 4, "only maxval {maxval} supported, got 127")
 
     def test_truncated_payload_rejected(self, tmp_path):
-        path = tmp_path / "img.ppm"
-        path.write_bytes(b"P6\n4 4\n255\n" + bytes(10))
-        with pytest.raises(netpbm.FileFormatError):
-            netpbm.read_ppm(path)
+        assert_rejected_in_both_formats(tmp_path, "{magic}\n4 4\n{maxval}\n", 10, "payload holds")
+
+    def test_non_numeric_header_field_rejected(self, tmp_path):
+        assert_rejected_in_both_formats(tmp_path, "{magic}\n2 x2\n{maxval}\n", 4, "non-numeric header field b'x2'")
+
+    def test_missing_whitespace_before_payload_rejected(self, tmp_path):
+        assert_rejected_in_both_formats(tmp_path, "{magic}\n2 2\n{maxval}#", 4, "missing whitespace before payload")
+
+
+# reader, magic, maxval and bytes per pixel of each netpbm format
+NETPBM = {"ppm": (netpbm.read_ppm, "P6", 255, 3), "pgm": (netpbm.read_pgm16, "P5", 65535, 2)}
+
+
+def assert_rejected_in_both_formats(tmp_path, header, pixels, message):
+    """Each format's reader rejects `header` (its {magic} and {maxval} filled
+    in) plus `pixels` zero pixels with FileFormatError naming the file."""
+    for fmt, (read, magic, maxval, depth) in NETPBM.items():
+        path = tmp_path / f"img.{fmt}"
+        path.write_bytes(header.format(magic=magic, maxval=maxval).encode("ascii") + bytes(pixels * depth))
+        expected = f"{path}: {message.format(magic=magic, maxval=maxval)}"
+        with pytest.raises(netpbm.FileFormatError, match=re.escape(expected)):
+            read(path)
 
 
 def single_layer_spec(seed=0, depth=BF / 4, size=64):

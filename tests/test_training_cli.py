@@ -362,10 +362,12 @@ class TestCli:
         assert len([n for n in names if n.endswith(".ppm")]) == 4
         assert len([n for n in names if n.endswith(".pgm")]) == 2
 
-    def test_gen_data_zero_count(self, tmp_path):
+    @pytest.mark.parametrize("count", [0, -2])
+    def test_gen_data_count_below_one_rejected(self, tmp_path, capsys, count):
         out = tmp_path / "d"
-        assert cli.main(["gen-data", "--out", str(out), "--count", "0"]) == 0
-        assert os.path.exists(out / "manifest.txt")
+        assert cli.main(["gen-data", "--out", str(out), "--count", str(count)]) == 1
+        assert capsys.readouterr().err == f"error: --count must be at least 1, got {count}\n"
+        assert not out.exists()
 
     def test_gen_data_deterministic(self, tmp_path):
         for name in ("a", "b"):
@@ -410,7 +412,7 @@ class TestCli:
 
     def test_empty_dataset_exit_1_for_train_and_eval(self, tmp_path, capsys):
         data_dir = tmp_path / "data"
-        assert cli.main(["gen-data", "--out", str(data_dir), "--count", "0"]) == 0
+        write_dataset(data_dir, [])
         cfg_path = tmp_path / "train.cfg"
         cfg_path.write_text(f"train.checkpoint_dir = {tmp_path / 'ckpt'}\ntrain.dataset_dir = {data_dir}\n")
         checkpoint = tmp_path / "net.fdpt"
