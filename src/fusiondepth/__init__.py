@@ -3,20 +3,5 @@
 A from-scratch numpy stack: a rank-4 autodiff engine, a feature-fusion
 pyramid network with coordinate-augmented convolutions and sub-pixel
 disparity refinement, the view-synthesis training losses, standard depth
-metrics, and a synthetic stereo scene generator for end-to-end checks.
-"""
-
-__version__ = "0.1.0"
-
-from . import autodiff, losses, metrics, netpbm, network, scenes, training
-
-__all__ = [
-    "autodiff",
-    "losses",
-    "metrics",
-    "netpbm",
-    "network",
-    "scenes",
-    "training",
-    "__version__",
-]
+metrics, and a synthetic stereo scene generator for end-to-end checks. The
+package imports none of these modules; import each by name."""

@@ -26,6 +26,11 @@ def _disparity_px(net, image, use_pp):
 def _cmd_gen_data(args):
     if args.count < 1:
         raise ValueError(f"--count must be at least 1, got {args.count}")
+    for flag, extent in (("--width", args.width), ("--height", args.height)):
+        if extent < 32 or extent % 8:  # 3+ net levels, the loss's 24 px, a 9 px disparity within 30%
+            raise ValueError(f"{flag} must be a multiple of 8 and at least 32, got {extent}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be at least 0, got {args.seed}")
     specs = [
         scenes.random_scene(args.seed + i, width=args.width, height=args.height, two_layer=bool(i % 2))
         for i in range(args.count)

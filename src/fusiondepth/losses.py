@@ -19,6 +19,7 @@ from . import autodiff as ad
 SSIM_C1 = 0.01 ** 2
 SSIM_C2 = 0.03 ** 2
 SSIM_SHARE = 0.85  # of the appearance term; L1 takes the rest (Monodepth's blend)
+MIN_EXTENT = 24  # of a training input: the 3x3 SSIM window needs 3 px at scale 3 (1/8)
 
 
 @dataclass

@@ -119,15 +119,14 @@ def _format_value(value):
     return str(value)
 
 
-def read_config_lines(lines, keys, where):
-    """Parse `key = value` lines, each utf-8 bytes, against a key table. A `#`
-    at the start of a line or after whitespace starts a comment; `runs#1` is
-    a plain value.
-
-    Returns {dataclass: {field: value}} and {(dataclass, field): (key, line
-    number)}; a key given twice keeps its last value and line. Errors are
-    ConfigErrors naming `where` and the line number.
-    """
+def read_config_lines(lines, keys, where, build):
+    """Parse `key = value` lines, each utf-8 bytes, against a key table into
+    `build({dataclass: {field: value}})`; a key given twice keeps its last
+    value. A `#` at the start of a line or after whitespace starts a comment;
+    `runs#1` is a plain value. Errors are ConfigErrors naming `where` and the
+    line number; a FieldError from `build` also names the key of the first
+    field it reads that the lines set. There is one: the defaults pass every
+    check, and a checkpoint header sets every key."""
     values = defaultdict(dict)
     set_at = {}
     for lineno, raw in enumerate(lines, start=1):
@@ -150,14 +149,16 @@ def read_config_lines(lines, keys, where):
         except (ValueError, TypeError) as e:
             raise ConfigError(f"{where}:{lineno}: bad value for {key}: {e}") from None
         set_at[cls, name] = key, lineno
-    return values, set_at
+    try:
+        return build(values)
+    except FieldError as e:
+        key, lineno = next(set_at[e.cls, name] for name in e.names if (e.cls, name) in set_at)
+        raise ConfigError(f"{where}:{lineno}: {key}: {e}") from None
 
 
-def format_config_lines(keys, *objects):
-    """One `key = value` line per table row, read from the object of that row's
-    dataclass."""
-    by_type = {type(obj): obj for obj in objects}
-    return "".join(f"{key} = {_format_value(getattr(by_type[cls], name))}\n" for key, (cls, name) in keys.items())
+def format_config_lines(keys, obj):
+    """One `key = value` line per table row, read from `obj`."""
+    return "".join(f"{key} = {_format_value(getattr(obj, name))}\n" for key, (_, name) in keys.items())
 
 
 # ---------------------------------------------------------------------------
@@ -483,25 +484,25 @@ def save_checkpoint(path, net):
 
 
 def _read_header(path, f, size):
-    """The ArchConfig stored after the magic; leaves `f` at the first record."""
+    """The ArchConfig stored after the magic; leaves `f` at the first record.
+    A bad header line or range check fails as `... at byte 9: header:<line>: ...`."""
     if f.tell() + 4 > size:
         raise CheckpointError(f"{path}: truncated header length at byte {f.tell()}")
     (hlen,) = struct.unpack("<I", f.read(4))
     off = f.tell()
     if off + hlen > size:
         raise CheckpointError(f"{path}: architecture header at byte {off} runs past end of file")
-    try:
-        values, set_at = read_config_lines(f.read(hlen).splitlines(), ARCH_KEYS, "header")
+
+    def build(values):
         missing = [key for key, (_, name) in ARCH_KEYS.items() if name not in values[ArchConfig]]
         if missing:
             raise ConfigError(f"missing {', '.join(missing)}")
-        cfg = ArchConfig(**values[ArchConfig])
-    except FieldError as e:  # the header sets every key, so the field checked first names the line
-        key, lineno = set_at[e.cls, e.names[0]]
-        raise CheckpointError(f"{path}: bad architecture header at byte {off}, line {lineno}: {key}: {e}") from None
+        return ArchConfig(**values[ArchConfig])
+
+    try:
+        return read_config_lines(f.read(hlen).splitlines(), ARCH_KEYS, "header", build)
     except ConfigError as e:
         raise CheckpointError(f"{path}: bad architecture header at byte {off}: {e}") from None
-    return cfg
 
 
 def read_checkpoint(path):

@@ -55,8 +55,8 @@ class Layer:
 class SceneSpec:
     seed: int
     layers: list
-    height: int = 64
-    width: int = 64
+    height: int
+    width: int
 
     def __post_init__(self):
         if not self.layers:

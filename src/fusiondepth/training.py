@@ -16,9 +16,9 @@ import numpy as np
 
 from . import autodiff as ad
 from . import scenes
-from .losses import LossWeights, total_loss
-from .network import (ARCH_KEYS, ArchConfig, ConfigError, DepthNet, FieldError, config_keys,
-                      format_config_lines, image_batch, read_config_lines, save_checkpoint)
+from .losses import MIN_EXTENT, LossWeights, total_loss
+from .network import (ARCH_KEYS, ArchConfig, ConfigError, DepthNet, FieldError, config_keys, image_batch,
+                      read_config_lines, save_checkpoint)
 
 LEARNING_RATE = 1e-4
 ADAM_BETA1 = 0.9
@@ -31,7 +31,7 @@ ADAM_RUN = 1 << 15  # elements per in-place Adam run: two 256 KiB scratch rows
 class TrainConfig:
     stage_epochs: tuple = (25, 5, 5)
     seed: int = 0
-    dataset_dir: str = ""
+    dataset_dir: str = "data"
     checkpoint_dir: str = "checkpoints"
     arch: ArchConfig = field(default_factory=ArchConfig)
 
@@ -120,6 +120,10 @@ def run_schedule(cfg: TrainConfig, log=None):
     """Train per the staged schedule; returns (net, log_path)."""
     samples, _, _, _ = scenes.load_dataset(cfg.dataset_dir)
     cfg.arch.check_images([s.left for s in samples], f"dataset at {cfg.dataset_dir}")
+    for height, width in {s.left.shape[:2] for s in samples}:
+        if min(height, width) < MIN_EXTENT:
+            raise ConfigError(f"dataset at {cfg.dataset_dir}: input extents {height}x{width} must be at least "
+                              f"{MIN_EXTENT}, for the loss's 3x3 SSIM window at scale 3")
     os.makedirs(cfg.checkpoint_dir, exist_ok=True)
 
     net = DepthNet(cfg.arch, seed=cfg.seed)
@@ -153,19 +157,9 @@ CONFIG_KEYS = {**ARCH_KEYS, **config_keys("train", TrainConfig)}
 
 
 def parse_config(path):
-    """Read a TrainConfig from `<section>.<field> = value` lines of a utf-8 file.
-    A failed range check names the line of the first field it reads that the
-    file sets; the defaults pass every check, so there is one."""
+    """Read a TrainConfig from `<section>.<field> = value` lines of a utf-8
+    file; a key the file leaves out keeps its dataclass default. Errors are
+    ConfigErrors naming the file, the line and, for a range check, the key."""
     with open(path, "rb") as f:
-        values, set_at = read_config_lines(f.read().splitlines(), CONFIG_KEYS, path)
-    try:
-        return TrainConfig(arch=ArchConfig(**values[ArchConfig]), **values[TrainConfig])
-    except FieldError as e:
-        key, lineno = next(set_at[e.cls, name] for name in e.names if (e.cls, name) in set_at)
-        raise ConfigError(f"{path}:{lineno}: {key}: {e}") from None
-
-
-def default_config_text():
-    """A config file with every key at its default, ready to edit."""
-    cfg = TrainConfig(dataset_dir="data")
-    return "# fusiondepth training configuration\n" + format_config_lines(CONFIG_KEYS, cfg, cfg.arch)
+        return read_config_lines(f.read().splitlines(), CONFIG_KEYS, path,
+                                 lambda v: TrainConfig(arch=ArchConfig(**v[ArchConfig]), **v[TrainConfig]))

@@ -387,7 +387,7 @@ class TestCheckpoint:
         pytest.param(lambda h, r: join(h.replace(b"levels = 3", b"levels = three"), r),
                      "byte 9: .*bad value for arch.num_levels", id="bad_header_value"),
         pytest.param(lambda h, r: join(h.replace(b"levels = 3", b"levels = 2"), r),
-                     "byte 9, line 1: arch.num_levels: need at least 3 levels, got 2", id="invalid_arch"),
+                     "byte 9: header:1: arch.num_levels: need at least 3 levels, got 2", id="invalid_arch"),
         pytest.param(lambda h, r: join(h.replace(b"arch.refinement", b"# arch.refinement"), r),
                      "byte 9: missing arch.refinement", id="missing_header_key"),
         pytest.param(lambda h, r: join(h.replace(b"fusion = true", b"fusion = false"), r),

@@ -119,7 +119,7 @@ class TestSceneValidation:
     def test_rect_outside_image(self):
         layer = Layer(depth=BF / 4, texture="noise", rect=(0, 60, 8, 8))
         with pytest.raises(SceneError):
-            SceneSpec(seed=0, layers=[layer])
+            SceneSpec(seed=0, layers=[layer], height=64, width=64)
 
     def test_duplicate_depths(self):
         layers = [
@@ -127,15 +127,16 @@ class TestSceneValidation:
             Layer(depth=BF / 4, texture="checker", rect=(8, 8, 16, 16)),
         ]
         with pytest.raises(SceneError):
-            SceneSpec(seed=0, layers=layers)
+            SceneSpec(seed=0, layers=layers, height=64, width=64)
 
     def test_unknown_texture(self):
         with pytest.raises(SceneError):
-            SceneSpec(seed=0, layers=[Layer(depth=BF / 4, texture="plaid", rect=(0, 0, 64, 64))])
+            SceneSpec(seed=0, layers=[Layer(depth=BF / 4, texture="plaid", rect=(0, 0, 64, 64))],
+                      height=64, width=64)
 
     def test_no_layers(self):
         with pytest.raises(SceneError):
-            SceneSpec(seed=0, layers=[])
+            SceneSpec(seed=0, layers=[], height=64, width=64)
 
 
 class TestStereoSample:
@@ -177,7 +178,7 @@ class TestRenderStereo:
             Layer(depth=BF / 4, texture="noise", rect=(0, 0, 64, 64)),
             Layer(depth=BF / 8, texture="checker", rect=(16, 24, 24, 20)),
         ]
-        sample = render_stereo(SceneSpec(seed=5, layers=layers))
+        sample = render_stereo(SceneSpec(seed=5, layers=layers, height=64, width=64))
         gt = sample.gt_disparity
         assert np.array_equal(gt[16:40, 24:44], np.full((24, 20), 8.0))
         outside = gt.copy()
@@ -229,7 +230,8 @@ class TestNonoccludedMask:
             Layer(depth=BF / 4, texture="noise", rect=(0, 0, 64, 64)),
             Layer(depth=BF / 8, texture="checker", rect=(0, 32, 64, 16)),
         ]
-        mask = nonoccluded_mask(render_stereo(SceneSpec(seed=0, layers=layers)).gt_disparity)
+        spec = SceneSpec(seed=0, layers=layers, height=64, width=64)
+        mask = nonoccluded_mask(render_stereo(spec).gt_disparity)
         # background pixels whose targets the nearer layer steals: columns 28..31
         assert not mask[:, 28:32].any()
         assert mask[:, 24:28].all()

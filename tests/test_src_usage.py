@@ -3,10 +3,11 @@ every non-dunder method, is named somewhere in src/fusiondepth (as an
 attribute of anything but an absolutely imported module such as np, or as a
 bare name where that name can reach it: in its own module, or in one that
 imports it with `from .module import name`), every parameter with a default
-is passed by some call in src/fusiondepth, and no parameter is passed the
-same literal by every call in src/fusiondepth. Code that only tests reach, and
-a parameter that is in effect a constant, fail here unless they are
-allowlisted with a reason."""
+is passed by some call in src/fusiondepth, no parameter is passed the same
+literal by every call in src/fusiondepth, and every dataclass field default
+is left to some construction in src/fusiondepth. Code that only tests reach,
+and a parameter or a default that is in effect a constant or dead, fail here
+unless they are allowlisted with a reason."""
 
 import ast
 from pathlib import Path
@@ -15,7 +16,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "fusiondepth"
 
 ALLOWED = {
     "nonoccluded_mask": "test oracle for the renderer, the gt warp (criterion 7) and recovery MAE (criterion 3)",
-    "default_config_text": "the README's way to write a config",
 }
 
 # "callable(parameter)": a class's __init__ is called by the class name
@@ -55,9 +55,27 @@ def parameters(tree):
             yield name, arg.arg, None, default is not None
 
 
+def dataclass_fields(tree):
+    """(class name, field, index among a constructor's positional arguments,
+    whether it has a default) for each field of each top-level @dataclass; a
+    ClassVar is no field."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(ast.unparse(d).startswith("dataclass")
+                                                  for d in node.decorator_list):
+            annotated = [item for item in node.body if isinstance(item, ast.AnnAssign)
+                         and not ast.unparse(item.annotation).startswith("ClassVar")]
+            for index, item in enumerate(annotated):
+                yield node.name, item.target.id, index, item.value is not None
+
+
+def expands(call):
+    """Whether a call passes *args or **kwargs."""
+    return any(isinstance(arg, ast.Starred) for arg in call.args) or any(k.arg is None for k in call.keywords)
+
+
 def passes(call, parameter, index):
     """Whether a call sets the parameter, counting *args and **kwargs as setting everything."""
-    if any(isinstance(arg, ast.Starred) for arg in call.args) or any(k.arg is None for k in call.keywords):
+    if expands(call):
         return True
     return any(k.arg == parameter for k in call.keywords) or (index is not None and len(call.args) > index)
 
@@ -65,7 +83,7 @@ def passes(call, parameter, index):
 def passed_literal(call, parameter, index):
     """The source text of the literal a call passes for the parameter, or
     None if it passes none, passes an expression, or uses *args/**kwargs."""
-    if any(isinstance(arg, ast.Starred) for arg in call.args) or any(k.arg is None for k in call.keywords):
+    if expands(call):
         return None
     given = [k.value for k in call.keywords if k.arg == parameter]
     if index is not None and len(call.args) > index:
@@ -79,16 +97,35 @@ def passed_literal(call, parameter, index):
     return ast.unparse(given[0])
 
 
-def parameters_and_calls():
-    """Each parameter of src/ (see `parameters`) with the calls in src/ made
-    by its callable's name."""
+def trees_and_calls():
+    """The parsed modules of src/ and their calls, keyed by the called name."""
     trees = [ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))]
     calls = {}
     for node in (node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Call)):
         callee = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
         calls.setdefault(callee, []).append(node)
+    return trees, calls
+
+
+def parameters_and_calls():
+    """Each parameter of src/ (see `parameters`) with the calls in src/ made
+    by its callable's name."""
+    trees, calls = trees_and_calls()
     return [(f"{name}({parameter})", parameter, index, defaulted, calls.get(name, []))
             for tree in trees for name, parameter, index, defaulted in parameters(tree)]
+
+
+def unrelied_field_defaults():
+    """Dataclass field defaults that no construction in src/ relies on. A call
+    by the class name that leaves the field out relies on it, as does a call
+    that expands *args or **kwargs, and `field(default_factory=Cls)` relies on
+    every default of Cls."""
+    trees, calls = trees_and_calls()
+    factories = {ast.unparse(k.value) for call in calls.get("field", []) for k in call.keywords
+                 if k.arg == "default_factory"}
+    return {f"{cls}.{name}" for tree in trees for cls, name, index, defaulted in dataclass_fields(tree)
+            if defaulted and cls not in factories
+            and not any(expands(call) or not passes(call, name, index) for call in calls.get(cls, []))}
 
 
 def unpassed_parameters():
@@ -157,6 +194,11 @@ def test_allowlist_entries_are_still_unused_definitions():
 def test_every_defaulted_parameter_is_passed_in_src():
     unpassed = sorted(unpassed_parameters() - set(ALLOWED_UNPASSED))
     assert not unpassed, "parameters with a default that no call in src/ passes: " + ", ".join(unpassed)
+
+
+def test_every_field_default_is_relied_on_in_src():
+    unrelied = sorted(unrelied_field_defaults())
+    assert not unrelied, "dataclass field defaults that every construction in src/ overrides: " + ", ".join(unrelied)
 
 
 def test_unpassed_allowlist_entries_are_still_unpassed():

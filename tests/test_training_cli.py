@@ -13,7 +13,8 @@ import pytest
 from fusiondepth import autodiff as ad
 from fusiondepth import cli, netpbm
 from fusiondepth import training as tr
-from fusiondepth.network import ArchConfig, DepthNet, image_batch, load_checkpoint, save_checkpoint
+from fusiondepth.network import (ArchConfig, DepthNet, format_config_lines, image_batch, load_checkpoint,
+                                save_checkpoint)
 from fusiondepth.scenes import SceneError, random_scene, render_stereo, write_dataset
 
 
@@ -100,18 +101,19 @@ class TestStagePlan:
         assert weights.smoothness == 0.0 and weights.occlusion == 0.0
 
 
-class TestParseConfig:
-    def test_default_text_round_trip(self, tmp_path):
-        path = tmp_path / "cfg.txt"
-        path.write_text(tr.default_config_text())
-        assert tr.parse_config(path) == tr.TrainConfig(dataset_dir="data")
+def readme_config_block():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return readme.split("## Configuration", 1)[1].split("```\n")[1]
 
+
+class TestParseConfig:
     def test_readme_block_matches_defaults(self, tmp_path):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        block = readme.split("## Configuration", 1)[1].split("```\n")[1]
-        (tmp_path / "readme.cfg").write_text(block)
-        (tmp_path / "default.cfg").write_text(tr.default_config_text())
-        assert tr.parse_config(tmp_path / "readme.cfg") == tr.parse_config(tmp_path / "default.cfg")
+        (tmp_path / "readme.cfg").write_text(readme_config_block())
+        assert tr.parse_config(tmp_path / "readme.cfg") == tr.TrainConfig()
+
+    def test_empty_file_gives_the_defaults(self, tmp_path):
+        (tmp_path / "empty.cfg").write_text("")
+        assert tr.parse_config(tmp_path / "empty.cfg") == tr.TrainConfig()
 
     def test_full_override(self, tmp_path):
         path = tmp_path / "cfg.txt"
@@ -145,7 +147,8 @@ class TestParseConfig:
         path.write_text("train.checkpoint_dir = runs#1  # trailing comment\ntrain.dataset_dir = a#b\t# after a tab\n")
         cfg = tr.parse_config(path)
         assert cfg.checkpoint_dir == "runs#1" and cfg.dataset_dir == "a#b"
-        path.write_text(tr.format_config_lines(tr.CONFIG_KEYS, cfg, cfg.arch))
+        path.write_text(format_config_lines(tr.ARCH_KEYS, cfg.arch)
+                        + format_config_lines(tr.config_keys("train", tr.TrainConfig), cfg))
         assert tr.parse_config(path) == cfg
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -192,7 +195,7 @@ class TestParseConfig:
             "train.stage_epochs", "train.seed", "train.dataset_dir", "train.checkpoint_dir"}
         assert all(tr.CONFIG_KEYS[key][1] == key.split(".", 1)[1] for key in tr.CONFIG_KEYS)
         assert tr.ARCH_KEYS == {key: row for key, row in tr.CONFIG_KEYS.items() if key.startswith("arch.")}
-        keys = [line.split(" = ")[0] for line in tr.default_config_text().splitlines()[1:]]
+        keys = [line.split(" = ")[0] for line in readme_config_block().splitlines()]
         assert keys == list(tr.CONFIG_KEYS)
 
     @pytest.mark.parametrize("line, match", [
@@ -333,6 +336,18 @@ class TestRunSchedule:
         with pytest.raises(SceneError, match="lists no scenes"):
             tr.run_schedule(cfg)
 
+    @pytest.mark.parametrize("height", [8, 16])
+    def test_extents_below_the_loss_window_rejected_before_training(self, tmp_path, height):
+        # these pass the (4, 6, 8) net's 2^3 check, but the loss's 3x3 SSIM window needs 3 px at 1/8 scale
+        data_dir = str(tmp_path / "data")
+        write_dataset(data_dir, [random_scene(s, width=32, height=height) for s in range(2)])
+        cfg = tr.TrainConfig(stage_epochs=(1, 0, 0), dataset_dir=data_dir,
+                             checkpoint_dir=str(tmp_path / "ckpt"), arch=tiny_arch())
+        expected = f"dataset at {data_dir}: input extents {height}x32 must be at least 24, for the loss's 3x3 SSIM"
+        with pytest.raises(tr.ConfigError, match=re.escape(expected)):
+            tr.run_schedule(cfg)
+        assert not (tmp_path / "ckpt" / "train_log.csv").exists()
+
 
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
@@ -367,6 +382,20 @@ class TestCli:
         out = tmp_path / "d"
         assert cli.main(["gen-data", "--out", str(out), "--count", str(count)]) == 1
         assert capsys.readouterr().err == f"error: --count must be at least 1, got {count}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--height", "7"], "--height must be a multiple of 8 and at least 32, got 7"),
+        (["--width", "24", "--height", "24"], "--width must be a multiple of 8 and at least 32, got 24"),
+        (["--width", "0"], "--width must be a multiple of 8 and at least 32, got 0"),
+        (["--width", "8", "--height", "8"], "--width must be a multiple of 8 and at least 32, got 8"),
+        (["--height", "40", "--width", "36"], "--width must be a multiple of 8 and at least 32, got 36"),
+        (["--seed", "-1"], "--seed must be at least 0, got -1"),
+    ], ids=["height_7", "24x24", "width_0", "8x8", "width_36", "seed_-1"])
+    def test_gen_data_bad_extents_or_seed_rejected_before_writing(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "d"
+        assert cli.main(["gen-data", "--out", str(out), "--count", "2", *flags]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_gen_data_deterministic(self, tmp_path):
