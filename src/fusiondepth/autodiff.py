@@ -319,14 +319,24 @@ def crop(x, top, bottom, left, right):
     return _tracked(out, (x,), vjp, "crop")
 
 
+def _window_sum(values, k, stride, ho, wo):
+    """The (N, C, Ho, Wo) sums of the k x k windows of `values` at `stride`,
+    as k*k strided slice adds in (ki, kj) order, so each sum's bits do not
+    depend on the memory layout of `values`."""
+    total = np.zeros(values.shape[:2] + (ho, wo))
+    for ki, kj in np.ndindex(k, k):
+        total += values[:, :, ki:ki + stride * ho:stride, kj:kj + stride * wo:stride]
+    return total
+
+
 def upsample_nearest(x):
     """Nearest-neighbour upsampling by 2 on H and W: each pyramid level
     halves."""
     out = np.repeat(np.repeat(x.values, 2, axis=2), 2, axis=3)
-    n, c, h, w = x.shape
+    _, _, h, w = x.shape
 
     def vjp(g):
-        return (g.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5)),)
+        return (_window_sum(g, 2, 2, h, w),)
 
     return _tracked(out, (x,), vjp, "upsample_nearest")
 
@@ -334,13 +344,12 @@ def upsample_nearest(x):
 def avg_pool(x, kernel, stride):
     """Average pooling, valid windows only."""
     kernel, stride = int(kernel), int(stride)
-    n, c, h, w = x.shape
+    _, _, h, w = x.shape
     if kernel > h or kernel > w:
         raise ShapeError(f"pool kernel {kernel} exceeds spatial extents of {x.shape}")
-    windows = np.lib.stride_tricks.sliding_window_view(x.values, (kernel, kernel), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride]
-    out = windows.mean(axis=(-2, -1))
-    ho, wo = out.shape[2], out.shape[3]
+    ho, wo = (h - kernel) // stride + 1, (w - kernel) // stride + 1
+    out = _window_sum(x.values, kernel, stride, ho, wo)
+    out /= kernel * kernel
     inv = 1.0 / (kernel * kernel)
 
     def vjp(g):
@@ -351,7 +360,7 @@ def avg_pool(x, kernel, stride):
                 gx[:, :, ki:ki + stride * ho:stride, kj:kj + stride * wo:stride] += piece
         return (gx,)
 
-    return _tracked(np.ascontiguousarray(out), (x,), vjp, "avg_pool")
+    return _tracked(out, (x,), vjp, "avg_pool")
 
 
 def pixel_shuffle(x):

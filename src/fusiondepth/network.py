@@ -107,7 +107,7 @@ def _parse_value(text, default):
             return False
         raise ConfigError(f"expected a boolean, got {text!r}")
     if isinstance(default, tuple):
-        return tuple(type(default[0])(part.strip()) for part in text.split(",") if part.strip())
+        return tuple(type(default[0])(part.strip()) for part in text.split(","))
     return type(default)(text)
 
 
@@ -186,7 +186,7 @@ def coord_channels(height, width):
 
 def image_batch(image):
     """The (1, 3, H, W) input Tensor of an (H, W, 3) image."""
-    # a channel-last view, not a contiguous copy: the loss's avg_pool means sum in this memory order
+    # a channel-last view, not a contiguous copy: the copy would only cost time, no op's bits depend on the layout
     return ad.Tensor(image[None].transpose(0, 3, 1, 2))
 
 

@@ -208,7 +208,7 @@ def nonoccluded_mask(gt_disparity):
     return mask
 
 
-def random_scene(seed, width=64, height=64, two_layer=False):
+def random_scene(seed, width, height, two_layer=False):
     """A generated SceneSpec: full-frame background, optionally one nearer
     rectangle. Disparities are integers in 4..9 px (depth = bf/d)."""
     rng = np.random.default_rng(seed)

@@ -180,7 +180,7 @@ def recovery(tmp_path_factory):
     """The full default training run; shared by criteria 3 and 5."""
     root = tmp_path_factory.mktemp("recovery")
     data_dir = str(root / "data")
-    write_dataset(data_dir, [random_scene(i, two_layer=bool(i % 2)) for i in range(40)])
+    write_dataset(data_dir, [random_scene(i, width=64, height=64, two_layer=bool(i % 2)) for i in range(40)])
     cfg = tr.TrainConfig(dataset_dir=data_dir, checkpoint_dir=str(root / "ckpt"))
     start = time.monotonic()
     net, log_path = tr.run_schedule(cfg)
@@ -331,7 +331,7 @@ def test_criterion_6(tmp_path):
 def test_criterion_7():
     worst = -1.0
     for seed in range(50):
-        sample = render_stereo(random_scene(seed, two_layer=bool(seed % 2)))
+        sample = render_stereo(random_scene(seed, width=64, height=64, two_layer=bool(seed % 2)))
         gt = sample.gt_disparity
         recon = ls.reconstruct(image_batch(sample.right), ad.Tensor(gt[None, None] / 64.0), "left")
         mask = nonoccluded_mask(gt)

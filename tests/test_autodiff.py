@@ -486,6 +486,50 @@ class TestReduceConcatCrop:
         assert np.array_equal(out.values[0, 0], np.array([[2.5, 4.5], [10.5, 12.5]]))
 
 
+class TestWindowSumOracle:
+    """avg_pool's forward and upsample_nearest's VJP against loop sums, on
+    contiguous and non-contiguous inputs."""
+
+    VIEWS = {"contiguous": lambda x: x, **TestConv2dOracle.VIEWS}
+
+    @pytest.mark.parametrize("view", VIEWS)
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("hw", [(7, 6), (8, 9)])
+    @pytest.mark.parametrize("k, stride", [(2, 1), (2, 2), (3, 1), (3, 2)])
+    def test_avg_pool_matches_loop_mean(self, view, n, hw, k, stride):
+        rng = np.random.default_rng(k * 10 + stride + n * 100)
+        x = self.VIEWS[view](rng.uniform(-1, 1, size=(n, 3, *hw)))
+        out = ad.avg_pool(ad.Tensor(x), k, stride)
+        ho, wo = (hw[0] - k) // stride + 1, (hw[1] - k) // stride + 1
+        want = np.zeros((n, 3, ho, wo))
+        for b, c, i, j in np.ndindex(*want.shape):
+            taps = [x[b, c, i * stride + ki, j * stride + kj] for ki in range(k) for kj in range(k)]
+            want[b, c, i, j] = sum(taps) / (k * k)
+        assert out.shape == want.shape
+        assert np.abs(out.values - want).max() < 1e-12
+
+    @pytest.mark.parametrize("view", VIEWS)
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_upsample_vjp_matches_loop_sum(self, view, n):
+        rng = np.random.default_rng(n)
+        x = rand(rng, (n, 3, 3, 4))
+        out = ad.upsample_nearest(x)
+        g = self.VIEWS[view](rng.uniform(-1, 1, size=out.shape))
+        (gx,) = out._vjp(g)
+        want = np.zeros(x.shape)
+        for b, c, i, j in np.ndindex(*out.shape):
+            want[b, c, i // 2, j // 2] += g[b, c, i, j]
+        assert np.abs(gx - want).max() < 1e-12
+
+    @pytest.mark.parametrize("k, stride", [(3, 1), (2, 2)])
+    def test_avg_pool_bits_do_not_depend_on_layout(self, k, stride):
+        # the same values as a contiguous array and as the channel-last view network.image_batch builds
+        image = np.random.default_rng(5).uniform(0, 1, size=(64, 64, 3))
+        outs = [ad.avg_pool(ad.Tensor(values), k, stride).values
+                for values in (np.ascontiguousarray(image.transpose(2, 0, 1))[None], image[None].transpose(0, 3, 1, 2))]
+        assert np.array_equal(outs[0], outs[1])
+
+
 class TestBackward:
     def test_requires_scalar_loss(self):
         with pytest.raises(ad.ShapeError):

@@ -192,7 +192,7 @@ class TestRenderStereo:
 
     def test_warp_consistency(self):
         for seed in range(5):
-            spec = random_scene(seed, two_layer=seed % 2 == 1)
+            spec = random_scene(seed, width=64, height=64, two_layer=seed % 2 == 1)
             sample = render_stereo(spec)
             gt = sample.gt_disparity
             offsets = ad.Tensor(gt[None, None] / 64.0)
@@ -211,7 +211,7 @@ class TestNonoccludedMask:
 
     def test_matches_brute_force(self):
         for seed in range(6):
-            gt = render_stereo(random_scene(seed, two_layer=True)).gt_disparity
+            gt = render_stereo(random_scene(seed, width=64, height=64, two_layer=True)).gt_disparity
             mask = nonoccluded_mask(gt)
             h, w = gt.shape
             for i in range(h):
@@ -240,19 +240,19 @@ class TestNonoccludedMask:
 class TestRandomScene:
     def test_disparities_in_range(self):
         for seed in range(20):
-            spec = random_scene(seed, two_layer=seed % 3 == 0)
+            spec = random_scene(seed, width=64, height=64, two_layer=seed % 3 == 0)
             gt = render_stereo(spec).gt_disparity
             vals = np.unique(gt)
             assert all(4 <= v <= 9 and v == int(v) for v in vals), (seed, vals)
 
     def test_two_layer_flag(self):
-        assert len(random_scene(0, two_layer=False).layers) == 1
-        assert len(random_scene(0, two_layer=True).layers) == 2
+        assert len(random_scene(0, width=64, height=64, two_layer=False).layers) == 1
+        assert len(random_scene(0, width=64, height=64, two_layer=True).layers) == 2
 
 
 class TestDataset:
     def specs(self):
-        return [random_scene(s, two_layer=s == 1) for s in range(3)]
+        return [random_scene(s, width=64, height=64, two_layer=s == 1) for s in range(3)]
 
     def test_round_trip(self, tmp_path):
         specs = self.specs()

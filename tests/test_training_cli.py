@@ -169,6 +169,16 @@ class TestParseConfig:
         with pytest.raises(tr.ConfigError):
             tr.parse_config(path)
 
+    @pytest.mark.parametrize("text", ["arch.num_levels = 3\narch.widths = 4, , 6, 8\n",
+                                      "arch.num_levels = 3\narch.widths = 4, 6, 8,\n",
+                                      "train.seed = 1\ntrain.stage_epochs = 2,,1, 1\n"])
+    def test_empty_tuple_entry_names_file_line_and_key(self, tmp_path, text):
+        path = tmp_path / "cfg.txt"
+        path.write_text(text)
+        key = text.splitlines()[1].split(" = ")[0]
+        with pytest.raises(tr.ConfigError, match=re.escape(f"{path}:2: bad value for {key}: ")):
+            tr.parse_config(path)
+
     @pytest.mark.parametrize("line", ["arch.kernel = 3", "arch.reservation = 0.5", "loss.alpha_ssim = 0.85",
                                       "train.beta1 = 0.9", "train.eps = 1e-08", "arch.levels = 5", "data.dir = data",
                                       "arch.d_max = 0.3", "loss.smoothness = 0.1", "loss.lr_consistency = 1.0",

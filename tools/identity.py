@@ -10,10 +10,14 @@ with `--pp` and with `--depth`.
 
     python3 tools/identity.py /path/to/parent/tree > parent.txt
     python3 tools/identity.py --against parent.txt
+    python3 tools/identity.py --train-tree /path/to/parent/tree --against parent.txt
 
 With `--against FILE`, a manifest saved from an earlier run, it also names
 on stderr each artifact whose hash differs, that is missing or that is new,
-and exits 1 if there is any.
+and exits 1 if there is any. With `--train-tree TREE`, `gen-data` and
+`train` run from TREE's `src/` and only `eval` and `predict` from the tree
+under test, so a change that moves training bits can show that, given the
+same checkpoints, its inference outputs match TREE's manifest.
 """
 
 from __future__ import annotations
@@ -60,14 +64,14 @@ def run_cli(tree, workdir, args):
     return proc.stdout
 
 
-def run_recipe(tree, workdir):
+def run_recipe(tree, workdir, train_tree):
     for out, flags in DATASETS.items():
-        run_cli(tree, workdir, ["gen-data", "--out", out, "--seed", "0", *flags])
+        run_cli(train_tree, workdir, ["gen-data", "--out", out, "--seed", "0", *flags])
     for arch, (data, lines) in ARCHS.items():
         config = [*lines, f"train.stage_epochs = {STAGE_EPOCHS}",
                   f"train.dataset_dir = {data}", f"train.checkpoint_dir = {arch}"]
         Path(workdir, f"{arch}.cfg").write_text("\n".join(config) + "\n")
-        run_cli(tree, workdir, ["train", "--config", f"{arch}.cfg"])
+        run_cli(train_tree, workdir, ["train", "--config", f"{arch}.cfg"])
         checkpoint = ["--checkpoint", f"{arch}/final.fdpt"]
         for suffix, extra in (("", []), ("_pp", ["--pp"])):
             report = run_cli(tree, workdir, ["eval", *checkpoint, "--data", data, *extra])
@@ -96,10 +100,11 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("tree", nargs="?", default=str(REPO), help="source tree to run (default: this repository)")
     parser.add_argument("--against", help="manifest of an earlier run to compare with")
+    parser.add_argument("--train-tree", help="source tree to run gen-data and train from (default: the tree)")
     args = parser.parse_args(argv)
     start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="fusiondepth-identity-") as workdir:
-        run_recipe(args.tree, workdir)
+        run_recipe(args.tree, workdir, args.train_tree or args.tree)
         digests = manifest(workdir)
     for name, digest in digests.items():
         print(f"{digest} {name}")
