@@ -1,17 +1,18 @@
 """Reverse-mode autodiff on rank-4 float64 arrays.
 
-Every value is a (N, C, H, W) numpy array wrapped in a Tensor. Ops record
-their parents and a closure that maps the output gradient to parent
-gradients; backward() walks the resulting graph once in reverse topological
-order and returns the gradient of each trainable leaf it reaches. It consumes
-the graph as it goes: once an op's closure has run, the op drops it and its
-parents, so each activation is freed after its last consumer's closure, and
-a graph is differentiated once. A closure
-keeps its op's parents, output and index data, and derives slopes, signs,
-masks and conv2d's im2col columns from their values when backward runs; only
-grid_sample_bilinear keeps its gathered samples, as a rebuild would gather
-twice. So an op's input values must not be written between its forward and
-backward(); Adam writes the leaves after it. Binary ops take operands of
+Every value is a (N, C, H, W) numpy array wrapped in a Tensor: a batch of N
+images, of which batch_item takes one; conv2d runs one forward GEMM per image,
+so an image's values do not depend on its batch. Ops record their parents and
+a closure that maps the output gradient to parent gradients; backward() walks
+the resulting graph once in reverse topological order and returns the gradient
+of each trainable leaf it reaches. It consumes the graph as it goes: once an
+op's closure has run, the op drops it and its parents, so each activation is
+freed after its last consumer's closure, and a graph is differentiated once. A
+closure keeps its op's parents, output and index data, and derives slopes,
+signs, masks and conv2d's im2col columns from their values when backward runs;
+only grid_sample_bilinear keeps its gathered samples, as a rebuild would
+gather twice. So an op's input values must not be written between its forward
+and backward(); Adam writes the leaves after it. Binary ops take operands of
 equal shape; nothing broadcasts. Scalars (losses) live in shape (1, 1, 1, 1).
 """
 
@@ -319,6 +320,16 @@ def crop(x, top, bottom, left, right):
     return _tracked(out, (x,), vjp, "crop")
 
 
+def batch_item(x, i):
+    """Image i of the batch x, as a (1, C, H, W) view of its values."""
+    def vjp(g):
+        full = np.zeros_like(x.values)
+        full[i] = g[0]
+        return (full,)
+
+    return _tracked(x.values[i:i + 1], (x,), vjp, "batch_item")
+
+
 def _window_sum(values, k, stride, ho, wo):
     """The (N, C, Ho, Wo) sums of the k x k windows of `values` at `stride`,
     as k*k strided slice adds in (ki, kj) order, so each sum's bits do not
@@ -396,10 +407,10 @@ def pixel_shuffle(x):
 
 
 def _im2col(values, k, stride, ho, wo):
-    """The (N, C*k*k, Ho*Wo) columns of `values` for a k x k kernel with zero
-    padding p = k // 2: a read-only (N, C, k, k, Ho, Wo) strided window over
-    a zeroed (N, C, H+2p, W+2p) copy, reshaped channel-major. For a stride-1
-    1x1 conv (p = 0) they are a view of `values`."""
+    """The (C*k*k, N*Ho*Wo) columns of `values` for a k x k kernel with zero
+    padding p = k // 2: a read-only (C, k, k, N, Ho, Wo) strided window over
+    a zeroed (N, C, H+2p, W+2p) copy, reshaped channel-major. For one image's
+    stride-1 1x1 conv (p = 0) they are a view of `values`."""
     n, c, h, w = values.shape
     p = k // 2
     if p:
@@ -409,8 +420,8 @@ def _im2col(values, k, stride, ho, wo):
         padded = values
     s0, s1, s2, s3 = padded.strides
     windows = np.lib.stride_tricks.as_strided(
-        padded, (n, c, k, k, ho, wo), (s0, s1, s2, s3, stride * s2, stride * s3), writeable=False)
-    return windows.reshape(n, c * k * k, ho * wo)
+        padded, (c, k, k, n, ho, wo), (s1, s2, s3, s0, stride * s2, stride * s3), writeable=False)
+    return windows.reshape(c * k * k, n * ho * wo)
 
 
 def conv2d(x, weight, bias, stride=1):
@@ -419,12 +430,12 @@ def conv2d(x, weight, bias, stride=1):
     per output channel.
 
     Output spatial extents follow (H + 2p - k) // stride + 1.
-    The forward is `wmat @ cols`, already in (N, O, Ho, Wo) order, with wmat
-    (O, C*k*k) a view of the weight and cols from _im2col, dropped once the
-    output exists. The VJP closure keeps only x, weight and bias: it rebuilds
-    cols from x's values for the weight gradient, one more im2col per
-    backward instead of holding 9x the input of every 3x3 conv. It builds no
-    input gradient for an x without requires_grad (an image).
+    The forward is one `wmat @ cols` GEMM per image, so an image's bits do not
+    depend on its batch; wmat (O, C*k*k) is a view of the weight and cols from
+    _im2col are dropped once the output exists. The VJP closure keeps only x,
+    weight and bias: it rebuilds cols for the weight gradient, one GEMM over
+    the batch, instead of holding 9x the input of every 3x3 conv, and builds
+    the input gradient per image, or none for an x without requires_grad.
     """
     n, c, h, w = x.shape
     o, cw, kh, kw = weight.shape
@@ -444,12 +455,13 @@ def conv2d(x, weight, bias, stride=1):
         raise ShapeError(f"conv output would be empty for input {x.shape}, kernel {k}, stride {stride}")
 
     wmat = weight.values.reshape(o, c * k * k)
-    out = np.matmul(wmat, _im2col(x.values, k, stride, ho, wo)).reshape(n, o, ho, wo)
+    out = np.matmul(wmat, _im2col(x.values, k, stride, ho, wo).reshape(c * k * k, n, ho * wo).transpose(1, 0, 2))
+    out = out.reshape(n, o, ho, wo)
     out += bias.values
 
     def vjp(g):
         gmat = g.reshape(n, o, ho * wo)
-        gw = np.tensordot(gmat, _im2col(x.values, k, stride, ho, wo), axes=([0, 2], [0, 2])).reshape(o, c, k, k)
+        gw = (g.transpose(1, 0, 2, 3).reshape(o, -1) @ _im2col(x.values, k, stride, ho, wo).T).reshape(o, c, k, k)
         gb = g.sum(axis=(0, 2, 3)).reshape(1, o, 1, 1)
         if not x.requires_grad:
             return None, gw, gb

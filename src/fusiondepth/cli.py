@@ -16,10 +16,10 @@ def _disparity_px(net, image, use_pp):
     """Scale-0 disparity in pixels of an (H, W, 3) image, optionally
     post-processed with the mirrored-input pass."""
     width = image.shape[1]
-    disp = net.forward(image_batch(image)).maps[0].values[0, 0] * width
+    disp = net.forward(image_batch(image[None])).maps[0].values[0, 0] * width
     if not use_pp:
         return disp
-    disp_flipped = net.forward(image_batch(image[:, ::-1])).maps[0].values[0, 0] * width
+    disp_flipped = net.forward(image_batch(image[None, :, ::-1])).maps[0].values[0, 0] * width
     return me.postprocess(disp, disp_flipped)
 
 

@@ -52,11 +52,12 @@ def ssim(x, y):
     """Per-pixel SSIM from 3x3 block statistics (valid windows)."""
     mu_x = ad.avg_pool(x, 3, 1)
     mu_y = ad.avg_pool(y, 3, 1)
-    sigma_x = ad.avg_pool(ad.mul(x, x), 3, 1) - ad.mul(mu_x, mu_x)
-    sigma_y = ad.avg_pool(ad.mul(y, y), 3, 1) - ad.mul(mu_y, mu_y)
-    sigma_xy = ad.avg_pool(ad.mul(x, y), 3, 1) - ad.mul(mu_x, mu_y)
-    num = (2.0 * ad.mul(mu_x, mu_y) + SSIM_C1) * (2.0 * sigma_xy + SSIM_C2)
-    den = (ad.mul(mu_x, mu_x) + ad.mul(mu_y, mu_y) + SSIM_C1) * (sigma_x + sigma_y + SSIM_C2)
+    mu_xx, mu_yy, mu_xy = ad.mul(mu_x, mu_x), ad.mul(mu_y, mu_y), ad.mul(mu_x, mu_y)
+    sigma_x = ad.avg_pool(ad.mul(x, x), 3, 1) - mu_xx
+    sigma_y = ad.avg_pool(ad.mul(y, y), 3, 1) - mu_yy
+    sigma_xy = ad.avg_pool(ad.mul(x, y), 3, 1) - mu_xy
+    num = (2.0 * mu_xy + SSIM_C1) * (2.0 * sigma_xy + SSIM_C2)
+    den = (mu_xx + mu_yy + SSIM_C1) * (sigma_x + sigma_y + SSIM_C2)
     return ad.div(num, den)
 
 

@@ -184,10 +184,10 @@ def coord_channels(height, width):
     )[None]
 
 
-def image_batch(image):
-    """The (1, 3, H, W) input Tensor of an (H, W, 3) image."""
+def image_batch(images):
+    """The (N, 3, H, W) input Tensor of an (N, H, W, 3) stack of images."""
     # a channel-last view, not a contiguous copy: the copy would only cost time, no op's bits depend on the layout
-    return ad.Tensor(image[None].transpose(0, 3, 1, 2))
+    return ad.Tensor(images.transpose(0, 3, 1, 2))
 
 
 @functools.lru_cache(maxsize=64)

@@ -17,8 +17,8 @@ import numpy as np
 from . import autodiff as ad
 from . import scenes
 from .losses import MIN_EXTENT, LossWeights, total_loss
-from .network import (ARCH_KEYS, ArchConfig, ConfigError, DepthNet, FieldError, config_keys, image_batch,
-                      read_config_lines, save_checkpoint)
+from .network import (ARCH_KEYS, ArchConfig, ConfigError, DepthNet, DisparitySet, FieldError, config_keys,
+                      image_batch, read_config_lines, save_checkpoint)
 
 LEARNING_RATE = 1e-4
 ADAM_BETA1 = 0.9
@@ -104,13 +104,19 @@ class Adam:
                 p -= np.divide(a, b, out=a)
 
 
+def _pair_loss(net, sample, weights):
+    """The loss of a stereo pair from one forward over its eyes as a batch."""
+    pair = image_batch(np.stack([sample.left, sample.right]))
+    maps = net.forward(pair).maps
+    left_set, right_set = (DisparitySet([ad.batch_item(m, eye) for m in maps]) for eye in (0, 1))
+    return total_loss(left_set, right_set, ad.batch_item(pair, 0), ad.batch_item(pair, 1), weights)
+
+
 def _train_epoch(net, opt, samples, rng, weights):
     order = rng.permutation(len(samples))
     total = 0.0
     for i in order:
-        left = image_batch(samples[i].left)
-        right = image_batch(samples[i].right)
-        loss = total_loss(net.forward(left), net.forward(right), left, right, weights)
+        loss = _pair_loss(net, samples[i], weights)
         opt.step(ad.backward(loss))
         total += loss.item()
     return total / len(order)

@@ -105,10 +105,9 @@ def composite_loss_check(seed):
     arch = ArchConfig(num_levels=3, widths=(4, 6, 8))
     net = DepthNet(arch, seed=seed)
     sample = render_stereo(random_scene(seed, width=32, height=32, two_layer=True))
-    left, right = image_batch(sample.left), image_batch(sample.right)
 
     def build():
-        return ls.total_loss(net.forward(left), net.forward(right), left, right, ls.LossWeights())
+        return tr._pair_loss(net, sample, ls.LossWeights())
 
     params = dict(net.parameters())
     names = [
@@ -195,7 +194,7 @@ def disparity_mae(net, data_dir):
     num = den = 0.0
     for sample in samples:
         width = sample.left.shape[1]
-        pred = net.forward(image_batch(sample.left)).maps[0].values[0, 0] * width
+        pred = net.forward(image_batch(sample.left[None])).maps[0].values[0, 0] * width
         gt = sample.gt_disparity
         mask = nonoccluded_mask(gt)
         num += np.abs(pred - gt)[mask].sum()
@@ -333,9 +332,9 @@ def test_criterion_7():
     for seed in range(50):
         sample = render_stereo(random_scene(seed, width=64, height=64, two_layer=bool(seed % 2)))
         gt = sample.gt_disparity
-        recon = ls.reconstruct(image_batch(sample.right), ad.Tensor(gt[None, None] / 64.0), "left")
+        recon = ls.reconstruct(image_batch(sample.right[None]), ad.Tensor(gt[None, None] / 64.0), "left")
         mask = nonoccluded_mask(gt)
-        err = np.abs(recon.values - image_batch(sample.left).values)[0, :, mask].max()
+        err = np.abs(recon.values - image_batch(sample.left[None]).values)[0, :, mask].max()
         worst = max(worst, float(err))
     ok = worst < 1e-12
     report(7, ok, f"gt-warp identity over 50 scenes: worst error {worst:.1e} (<1e-12)")

@@ -196,9 +196,9 @@ class TestRenderStereo:
             sample = render_stereo(spec)
             gt = sample.gt_disparity
             offsets = ad.Tensor(gt[None, None] / 64.0)
-            recon = ls.reconstruct(image_batch(sample.right), offsets, "left")
+            recon = ls.reconstruct(image_batch(sample.right[None]), offsets, "left")
             mask = nonoccluded_mask(gt)
-            err = np.abs(recon.values - image_batch(sample.left).values)[0, :, mask].max()
+            err = np.abs(recon.values - image_batch(sample.left[None]).values)[0, :, mask].max()
             assert err < 1e-12, f"seed {seed}: warp error {err}"
 
 

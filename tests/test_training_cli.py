@@ -245,18 +245,13 @@ class TestBatch:
         net = tr.DepthNet(tiny_arch(), seed=3)
         leaves = [t for _, t in net.parameters()]
 
-        def stacked(images):
-            # the channel-last view image_batch builds for one image, over a stack of several
-            return ad.Tensor(np.stack(images).transpose(0, 3, 1, 2))
-
         def loss_and_grad(chunk):
-            left = stacked([s.left for s in chunk])
-            right = stacked([s.right for s in chunk])
+            left = image_batch(np.stack([s.left for s in chunk]))
+            right = image_batch(np.stack([s.right for s in chunk]))
             loss = tr.total_loss(net.forward(left), net.forward(right), left, right, tr.LossWeights())
             grads = ad.backward(loss)
             return loss.item(), np.concatenate([grads[t].ravel() for t in leaves])
 
-        assert stacked([s.left for s in samples]).shape == (2, 3, 32, 32)
         loss, grad = loss_and_grad(samples)
         (loss_0, grad_0), (loss_1, grad_1) = (loss_and_grad([s]) for s in samples)
         assert loss == pytest.approx((loss_0 + loss_1) / 2, rel=1e-12)
@@ -264,19 +259,54 @@ class TestBatch:
         assert np.linalg.norm(grad - mean_grad) <= 1e-12 * np.linalg.norm(mean_grad)
 
 
+class TestPairStep:
+    """A training step runs the network once, on the (2, 3, H, W) stack of both eyes."""
+
+    def test_each_step_runs_one_forward_on_the_pair(self):
+        samples = [render_stereo(random_scene(seed, width=32, height=32)) for seed in range(2)]
+        net = DepthNet(tiny_arch(), seed=0)
+        shapes = []
+
+        def forward(images):
+            shapes.append(images.shape)
+            return DepthNet.forward(net, images)
+
+        net.forward = forward
+        opt = tr.Adam([t for _, t in net.parameters()])
+        tr._train_epoch(net, opt, samples, np.random.default_rng(0), tr.LossWeights())
+        assert shapes == [(2, 3, 32, 32)] * 2
+
+    @pytest.mark.parametrize("arch", [{}, {"coordconv": False}, {"fusion": False}, {"refinement": False}],
+                             ids=["default", "no_coordconv", "no_fusion", "no_refinement"])
+    def test_pair_matches_two_single_forwards(self, arch):
+        scene = render_stereo(random_scene(4, width=64, height=64, two_layer=True))
+        net = DepthNet(ArchConfig(**arch), seed=1)
+        leaves = [t for _, t in net.parameters()]
+        left, right = image_batch(scene.left[None]), image_batch(scene.right[None])
+        pair = net.forward(image_batch(np.stack([scene.left, scene.right])))
+        singles = [net.forward(left), net.forward(right)]
+        for s in range(4):
+            assert np.array_equal(pair.maps[s].values, np.concatenate([d.maps[s].values for d in singles]))
+        loss = tr._pair_loss(net, scene, tr.LossWeights())
+        want = tr.total_loss(*singles, left, right, tr.LossWeights())
+        assert loss.item() == want.item()
+        grads, want_grads = ad.backward(loss), ad.backward(want)
+        for t in leaves:
+            assert np.linalg.norm(grads[t] - want_grads[t]) <= 1e-12 * np.linalg.norm(want_grads[t])
+
+
 class TestStepMemory:
     def test_each_phase_frees_what_it_is_done_with(self):
         # one default-arch 64x64 step as _train_epoch runs it; traced bytes count from the step's start
         scene = render_stereo(random_scene(3, width=64, height=64))
-        left, right = image_batch(scene.left), image_batch(scene.right)
         net = DepthNet(ArchConfig(), seed=0)
-        net.forward(left)  # fills the coordinate-channel cache
+        net.forward(image_batch(np.stack([scene.left, scene.right])))  # fills the coordinate-channel cache
         opt = tr.Adam([t for _, t in net.parameters()])
         param_bytes = sum(t.values.nbytes for t in opt.tensors)
         mib = 2 ** 20
         tracemalloc.start()
         try:
-            loss = tr.total_loss(net.forward(left), net.forward(right), left, right, tr.LossWeights())
+            loss = tr._pair_loss(net, scene, tr.LossWeights())
             tracemalloc.reset_peak()
             grads = ad.backward(loss)
             after_backward, backward_peak = tracemalloc.get_traced_memory()
