@@ -9,11 +9,11 @@ of each trainable leaf it reaches. It consumes the graph as it goes: once an
 op's closure has run, the op drops it and its parents, so each activation is
 freed after its last consumer's closure, and a graph is differentiated once. A
 closure keeps its op's parents, output and index data, and derives slopes,
-signs, masks and conv2d's im2col columns from their values when backward runs;
-only grid_sample_bilinear keeps its gathered samples, as a rebuild would
-gather twice. So an op's input values must not be written between its forward
-and backward(); Adam writes the leaves after it. Binary ops take operands of
-equal shape; nothing broadcasts. Scalars (losses) live in shape (1, 1, 1, 1).
+signs, masks and conv2d's im2col columns of x and of g when backward runs; only
+grid_sample_bilinear keeps its gathered samples, as a rebuild would gather
+twice. So an op's input values must not be written between its forward and
+backward(); Adam writes the leaves after it. Binary ops take operands of equal
+shape; nothing broadcasts. Scalars (losses) live in shape (1, 1, 1, 1).
 """
 
 from __future__ import annotations
@@ -427,15 +427,15 @@ def _im2col(values, k, stride, ho, wo):
 def conv2d(x, weight, bias, stride=1):
     """2-D cross-correlation of x (N, C, H, W) with filters weight (O, C, k, k),
     k odd, zero padding p = k // 2 and stride 1 or 2, plus bias (1, O, 1, 1)
-    per output channel.
+    per output channel; output extents follow (H + 2p - k) // stride + 1.
 
-    Output spatial extents follow (H + 2p - k) // stride + 1.
     The forward is one `wmat @ cols` GEMM per image, so an image's bits do not
     depend on its batch; wmat (O, C*k*k) is a view of the weight and cols from
     _im2col are dropped once the output exists. The VJP closure keeps only x,
-    weight and bias: it rebuilds cols for the weight gradient, one GEMM over
-    the batch, instead of holding 9x the input of every 3x3 conv, and builds
-    the input gradient per image, or none for an x without requires_grad.
+    weight and bias, not 9x the input of a 3x3 conv: it rebuilds cols for the
+    weight gradient, one GEMM over the batch. The input gradient, if x requires
+    it, is the transposed conv: per image, the flipped, channel-swapped kernel
+    times the stride-1 _im2col of g, zero-dilated at stride 2.
     """
     n, c, h, w = x.shape
     o, cw, kh, kw = weight.shape
@@ -460,18 +460,18 @@ def conv2d(x, weight, bias, stride=1):
     out += bias.values
 
     def vjp(g):
-        gmat = g.reshape(n, o, ho * wo)
         gw = (g.transpose(1, 0, 2, 3).reshape(o, -1) @ _im2col(x.values, k, stride, ho, wo).T).reshape(o, c, k, k)
         gb = g.sum(axis=(0, 2, 3)).reshape(1, o, 1, 1)
         if not x.requires_grad:
             return None, gw, gb
-        gcols = np.matmul(wmat.T, gmat).reshape(n, c, k, k, ho, wo)
-        gpad = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=np.float64)
-        for ki in range(k):
-            for kj in range(k):
-                gpad[:, :, ki:ki + stride * ho:stride, kj:kj + stride * wo:stride] += gcols[:, :, ki, kj]
-        gx = gpad[:, :, p:p + h, p:p + w] if p else gpad
-        return gx, gw, gb
+        gd = g if stride == 1 else np.zeros((n, o, h, w))
+        if stride == 2:
+            gd[:, :, ::2, ::2] = g
+        wflip = weight.values[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, o * k * k)
+        gx = np.empty((n, c, h * w))
+        for i in range(n):
+            np.matmul(wflip, _im2col(gd[i:i + 1], k, 1, h, w), out=gx[i])
+        return gx.reshape(n, c, h, w), gw, gb
 
     return _tracked(out, (x, weight, bias), vjp, "conv2d")
 

@@ -1,5 +1,7 @@
 """Engine tests: frozen-value examples plus finite-difference oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -122,6 +124,22 @@ class TestRetention:
         out, held = retained(lambda: ad.elu(x))
         assert held <= 1.05 * out.values.nbytes
 
+    def test_conv2d_input_gradient_builds_one_image_at_a_time(self):
+        # refine.*.post1's shape at 64x64: the columns of g for one image are
+        # (16*3*3, 64*64), 4.5 MiB; the whole pair's would be twice that
+        rng = np.random.default_rng(9)
+        x, w = rand(rng, (2, 1, 64, 64)), rand(rng, (16, 1, 3, 3))
+        out = ad.conv2d(x, w, zero_bias(16))
+        g = rng.uniform(-1, 1, size=out.shape)
+        one_image_cols = 16 * 3 * 3 * 64 * 64 * 8
+        tracemalloc.start()
+        try:
+            out._vjp(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * one_image_cols
+
 
 class TestConv2dOracle:
     """Batched and non-square cases against the direct loop sum."""
@@ -164,6 +182,26 @@ class TestConv2dOracle:
         g = rng.uniform(-1, 1, size=out.shape)
         want = direct_conv(np.ascontiguousarray(x), w, b, g, stride)
         for got, ref in zip((out.values, *out._vjp(g)), want):
+            assert np.abs(got - ref).max() < 1e-12
+
+    # a channel slice of a wider gradient, and a negative-stride view
+    G_VIEWS = {"channel_slice": lambda g: np.concatenate([g, g[:, :1]], axis=1)[:, :-1],
+               "reversed_columns": lambda g: g[..., ::-1].copy()[..., ::-1]}
+
+    @pytest.mark.parametrize("view", G_VIEWS)
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("hw", [(6, 8), (7, 5)])
+    def test_non_contiguous_gradient_matches_loops(self, view, k, stride, hw):
+        rng = np.random.default_rng(k * 10 + stride + hw[0])
+        x = rng.uniform(-1, 1, size=(2, 3, *hw))
+        w = rng.uniform(-1, 1, size=(4, 3, k, k))
+        b = rng.uniform(-1, 1, size=(1, 4, 1, 1))
+        out = ad.conv2d(ad.Tensor(x, requires_grad=True), ad.Tensor(w), ad.Tensor(b), stride)
+        g = self.G_VIEWS[view](rng.uniform(-1, 1, size=out.shape))
+        assert g.shape == out.shape and not g.flags.c_contiguous
+        want = direct_conv(x, w, b, np.ascontiguousarray(g), stride)
+        for got, ref in zip(out._vjp(g), want[1:]):
             assert np.abs(got - ref).max() < 1e-12
 
     @pytest.mark.parametrize("k, stride, padding", [(3, 1, 1), (3, 2, 1), (5, 2, 2)])

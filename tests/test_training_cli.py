@@ -3,6 +3,8 @@
 import os
 import re
 import shlex
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import fields
 from pathlib import Path
@@ -387,6 +389,29 @@ class TestRunSchedule:
         with pytest.raises(tr.ConfigError, match=re.escape(expected)):
             tr.run_schedule(cfg)
         assert not (tmp_path / "ckpt" / "train_log.csv").exists()
+
+
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+# On one core, OpenBLAS runs one thread whatever the environment says, so the
+# two runs could not differ and the test would show nothing.
+@pytest.mark.skipif(os.cpu_count() == 1, reason="a one-core host runs one BLAS thread either way")
+def test_train_bits_do_not_depend_on_the_blas_thread_variables(tmp_path):
+    # the default arch: the (4, 6, 8) net's GEMMs are too small for OpenBLAS to split
+    write_dataset(str(tmp_path / "data"), [random_scene(s, width=32, height=32) for s in range(3)])
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    finals = []
+    for name, extra in (("unset", {}), ("one", dict.fromkeys(THREAD_VARS, "1"))):
+        (tmp_path / f"{name}.cfg").write_text(
+            "train.stage_epochs = 2, 1, 1\n"
+            f"train.checkpoint_dir = {tmp_path / name}\n"
+            f"train.dataset_dir = {tmp_path / 'data'}\n")
+        subprocess.run([sys.executable, "-m", "fusiondepth.cli", "train", "--config", str(tmp_path / f"{name}.cfg")],
+                       env={**env, **extra}, check=True, capture_output=True)
+        finals.append((tmp_path / name / "final.fdpt").read_bytes())
+    assert finals[0] == finals[1]
 
 
 @pytest.fixture(scope="module")
