@@ -1,19 +1,20 @@
 """Reverse-mode autodiff on rank-4 float64 arrays.
 
 Every value is a (N, C, H, W) numpy array wrapped in a Tensor: a batch of N
-images, of which batch_item takes one; conv2d runs one forward GEMM per image,
-so an image's values do not depend on its batch. Ops record their parents and
-a closure that maps the output gradient to parent gradients; backward() walks
-the resulting graph once in reverse topological order and returns the gradient
-of each trainable leaf it reaches. It consumes the graph as it goes: once an
-op's closure has run, the op drops it and its parents, so each activation is
-freed after its last consumer's closure, and a graph is differentiated once. A
-closure keeps its op's parents, output and index data, and derives slopes,
-signs, masks and conv2d's im2col columns of x and of g when backward runs; only
-grid_sample_bilinear keeps its gathered samples, as a rebuild would gather
-twice. So an op's input values must not be written between its forward and
-backward(); Adam writes the leaves after it. Binary ops take operands of equal
-shape; nothing broadcasts. Scalars (losses) live in shape (1, 1, 1, 1).
+images, such as a stereo pair whose halves swap_eyes exchanges; conv2d runs
+one forward GEMM per image, so an image's values do not depend on its batch.
+Ops record their parents and a closure that maps the output gradient to parent
+gradients; backward() walks the resulting graph once in reverse topological
+order and returns the gradient of each trainable leaf it reaches. It consumes
+the graph as it goes: once an op's closure has run, the op drops it and its
+parents, so each activation is freed after its last consumer's closure, and a
+graph is differentiated once. A closure keeps its op's parents, output and
+index data, and derives slopes, signs, masks and conv2d's im2col columns of x
+and of g when backward runs; only grid_sample_bilinear keeps its gathered
+samples, as a rebuild would gather twice. So an op's input values must not be
+written between its forward and backward(); Adam writes the leaves after it.
+Binary ops take operands of equal shape; nothing broadcasts. Scalars (losses)
+live in shape (1, 1, 1, 1).
 """
 
 from __future__ import annotations
@@ -320,14 +321,17 @@ def crop(x, top, bottom, left, right):
     return _tracked(out, (x,), vjp, "crop")
 
 
-def batch_item(x, i):
-    """Image i of the batch x, as a (1, C, H, W) view of its values."""
-    def vjp(g):
-        full = np.zeros_like(x.values)
-        full[i] = g[0]
-        return (full,)
+def swap_eyes(x):
+    """A (2B, C, H, W) stereo batch, B left images then B right, with its two
+    halves exchanged: the other eye of each image, in the same order."""
+    n = x.shape[0]
+    if n % 2:
+        raise ShapeError(f"swap_eyes needs an even batch of left then right images, got {n}")
 
-    return _tracked(x.values[i:i + 1], (x,), vjp, "batch_item")
+    def vjp(g):
+        return (np.roll(g, n // 2, axis=0),)
+
+    return _tracked(np.roll(x.values, n // 2, axis=0), (x,), vjp, "swap_eyes")
 
 
 def _window_sum(values, k, stride, ho, wo):

@@ -4,8 +4,10 @@ Built from engine ops so gradients reach the network: SSIM+L1 appearance
 matching against bilinear reconstructions, edge-aware disparity smoothness
 (its edge weights depend on the image alone and are numpy constants),
 left-right disparity consistency, and occlusion regularization, combined over
-4 scales with geometric per-scale factors. Disparities are in
-normalized-width units throughout.
+4 scales with geometric per-scale factors. Disparities are in normalized-width
+units throughout. The loss is one graph over a stereo batch: each eye is
+reconstructed from the other (ad.swap_eyes) by its disparity times its sign,
+and every term is a mean over the batch.
 """
 
 from __future__ import annotations
@@ -33,19 +35,18 @@ class LossWeights:
     scale_factors: tuple = (1.0, 0.5, 0.25, 0.125)
 
 
-def reconstruct(source, disparity, direction):
-    """Warp `source` horizontally by `disparity` to synthesize the other view.
-
-    direction names the view being reconstructed: "left" samples the source
-    at j - d*W, "right" at j + d*W.
-    """
-    if direction == "left":
-        offsets = ad.scale(disparity, -1.0)
-    elif direction == "right":
-        offsets = disparity
-    else:
-        raise ValueError(f"direction must be 'left' or 'right', got {direction!r}")
+def reconstruct(source, offsets):
+    """Warp `source` horizontally to synthesize the other view: pixel j of a
+    row samples the source at j + offsets*W (see signed_offsets)."""
     return ad.grid_sample_bilinear(source, offsets)
+
+
+def signed_offsets(disparity):
+    """The warp offsets of a stereo batch's (2B, 1, H, W) disparities: each
+    map times its eye's sign, -1 for the B left images and +1 for the B right."""
+    sign = np.ones(disparity.shape)
+    sign[:disparity.shape[0] // 2] = -1.0
+    return ad.mul(disparity, ad.Tensor(sign))
 
 
 def ssim(x, y):
@@ -91,13 +92,11 @@ def smoothness_loss(disparity, image):
     return ad.add(loss_x, loss_y)
 
 
-def lr_consistency_loss(disp_left, disp_right):
-    """Mean projection mismatch, averaged over the two eyes."""
-    right_in_left = reconstruct(disp_right, disp_left, "left")
-    left_in_right = reconstruct(disp_left, disp_right, "right")
-    term_left = ad.reduce_mean(ad.absolute(ad.sub(disp_left, right_in_left)))
-    term_right = ad.reduce_mean(ad.absolute(ad.sub(disp_right, left_in_right)))
-    return (term_left + term_right) * 0.5
+def lr_consistency_loss(disparity, offsets):
+    """Mean mismatch between each eye's disparity and the other eye's, warped
+    into it by `offsets` (signed_offsets of `disparity`)."""
+    projected = reconstruct(ad.swap_eyes(disparity), offsets)
+    return ad.reduce_mean(ad.absolute(ad.sub(disparity, projected)))
 
 
 def occlusion_reg(disp):
@@ -113,30 +112,25 @@ def image_pyramid(image):
     return out
 
 
-def total_loss(left_set, right_set, left, right, weights):
+def total_loss(disparities, images, weights):
     """Sum over scales of
     factor_s * (appearance + w_sm*smoothness + consistency + w_occ*occlusion),
-    each term averaged over the two eyes. A scale or term whose weight is 0 is
-    not built, but every stage keeps scale 0; appearance and consistency have
-    no weight and are always built. `left` and `right` are the (N, 3, H, W)
-    image Tensors the two sets were predicted from."""
-    left_images = image_pyramid(left)
-    right_images = image_pyramid(right)
+    each term a mean over the stereo batch `images`, a (2B, 3, H, W) Tensor of
+    B left images then B right, whose DisparitySet `disparities` is. A scale or
+    term whose weight is 0 is not built, but every stage keeps scale 0;
+    appearance and consistency have no weight and are always built."""
+    pyramid = image_pyramid(images)
     per_scale = []
     for s, factor in enumerate(weights.scale_factors):
         if not factor:
             continue
-        d_l, d_r = left_set.maps[s], right_set.maps[s]
-        i_l, i_r = left_images[s], right_images[s]
-        app_l = appearance_loss(i_l, reconstruct(i_r, d_l, "left"))
-        app_r = appearance_loss(i_r, reconstruct(i_l, d_r, "right"))
-        terms = [(app_l + app_r) * 0.5]
+        d, i = disparities.maps[s], pyramid[s]
+        offsets = signed_offsets(d)
+        terms = [appearance_loss(i, reconstruct(ad.swap_eyes(i), offsets))]
         if weights.smoothness:
-            sm = (smoothness_loss(d_l, i_l) + smoothness_loss(d_r, i_r)) * 0.5
-            terms.append(sm * weights.smoothness)
-        terms.append(lr_consistency_loss(d_l, d_r))
+            terms.append(smoothness_loss(d, i) * weights.smoothness)
+        terms.append(lr_consistency_loss(d, offsets))
         if weights.occlusion:
-            occ = (occlusion_reg(d_l) + occlusion_reg(d_r)) * 0.5
-            terms.append(occ * weights.occlusion)
+            terms.append(occlusion_reg(d) * weights.occlusion)
         per_scale.append(sum(terms[1:], terms[0]) * factor)
     return sum(per_scale[1:], per_scale[0])

@@ -17,8 +17,8 @@ import numpy as np
 from . import autodiff as ad
 from . import scenes
 from .losses import MIN_EXTENT, LossWeights, total_loss
-from .network import (ARCH_KEYS, ArchConfig, ConfigError, DepthNet, DisparitySet, FieldError, config_keys,
-                      image_batch, read_config_lines, save_checkpoint)
+from .network import (ARCH_KEYS, ArchConfig, ConfigError, DepthNet, FieldError, config_keys, image_batch,
+                      read_config_lines, save_checkpoint)
 
 LEARNING_RATE = 1e-4
 ADAM_BETA1 = 0.9
@@ -105,11 +105,9 @@ class Adam:
 
 
 def _pair_loss(net, sample, weights):
-    """The loss of a stereo pair from one forward over its eyes as a batch."""
+    """The loss of a stereo pair, one graph over one forward of its eyes as a batch."""
     pair = image_batch(np.stack([sample.left, sample.right]))
-    maps = net.forward(pair).maps
-    left_set, right_set = (DisparitySet([ad.batch_item(m, eye) for m in maps]) for eye in (0, 1))
-    return total_loss(left_set, right_set, ad.batch_item(pair, 0), ad.batch_item(pair, 1), weights)
+    return total_loss(net.forward(pair), pair, weights)
 
 
 def _train_epoch(net, opt, samples, rng, weights):

@@ -73,6 +73,7 @@ def op_checks(seed):
     frac = rng.uniform(0.2, 0.8, (1, 1, 4, 8))
     whole = rng.integers(-2, 3, (1, 1, 4, 8))
     offs = ad.Tensor((whole + frac) / 8.0, requires_grad=True)
+    pair = leaf(rng, (2, 2, 3, 4))
 
     def m(t):
         return ad.reduce_mean(t)
@@ -97,6 +98,7 @@ def op_checks(seed):
         ("conv2d", lambda: m(ad.conv2d(x_img, w1, bias)), [x_img, w1, bias]),
         ("conv2d_s2", lambda: m(ad.conv2d(x_img, w2, bias, stride=2)), [x_img, w2, bias]),
         ("grid_sample", lambda: m(ad.grid_sample_bilinear(src, offs)), [src, offs]),
+        ("swap_eyes", lambda: m(ad.swap_eyes(pair) * pair), [pair]),
     ]
 
 
@@ -332,7 +334,7 @@ def test_criterion_7():
     for seed in range(50):
         sample = render_stereo(random_scene(seed, width=64, height=64, two_layer=bool(seed % 2)))
         gt = sample.gt_disparity
-        recon = ls.reconstruct(image_batch(sample.right[None]), ad.Tensor(gt[None, None] / 64.0), "left")
+        recon = ls.reconstruct(image_batch(sample.right[None]), ad.Tensor(-gt[None, None] / 64.0))
         mask = nonoccluded_mask(gt)
         err = np.abs(recon.values - image_batch(sample.left[None]).values)[0, :, mask].max()
         worst = max(worst, float(err))

@@ -523,32 +523,34 @@ class TestReduceConcatCrop:
         out = ad.avg_pool(x, 2, 2)
         assert np.array_equal(out.values[0, 0], np.array([[2.5, 4.5], [10.5, 12.5]]))
 
-    @pytest.mark.parametrize("i", [0, 1])
-    def test_batch_item_is_a_view_of_one_image(self, i):
-        x = rand(np.random.default_rng(i), (2, 3, 4, 5))
-        out = ad.batch_item(x, i)
-        assert out.shape == (1, 3, 4, 5)
-        assert np.array_equal(out.values, x.values[i:i + 1])
-        assert np.shares_memory(out.values, x.values)
+    @pytest.mark.parametrize("half", [1, 2])
+    def test_swap_eyes_exchanges_the_halves(self, half):
+        x = rand(np.random.default_rng(half), (2 * half, 3, 4, 5))
+        out = ad.swap_eyes(x)
+        assert out.shape == x.shape
+        assert np.array_equal(out.values[:half], x.values[half:])
+        assert np.array_equal(out.values[half:], x.values[:half])
 
-    @pytest.mark.parametrize("i", [0, 1])
-    def test_batch_item_vjp_fills_the_other_images_with_zeros(self, i):
-        x = rand(np.random.default_rng(i), (2, 3, 4, 5))
-        g = np.random.default_rng(10 + i).uniform(-1, 1, size=(1, 3, 4, 5))
-        (gx,) = ad.batch_item(x, i)._vjp(g)
-        assert gx.shape == x.shape
-        assert np.array_equal(gx[i:i + 1], g)
-        assert not gx[1 - i].any()
+    @pytest.mark.parametrize("half", [1, 2])
+    def test_swap_eyes_vjp_swaps_g_back(self, half):
+        x = rand(np.random.default_rng(half), (2 * half, 3, 4, 5))
+        g = np.random.default_rng(10 + half).uniform(-1, 1, size=x.shape)
+        (gx,) = ad.swap_eyes(x)._vjp(g)
+        assert np.array_equal(gx[:half], g[half:])
+        assert np.array_equal(gx[half:], g[:half])
+
+    def test_swap_eyes_rejects_an_odd_batch(self):
+        with pytest.raises(ad.ShapeError):
+            ad.swap_eyes(rand(np.random.default_rng(0), (3, 1, 2, 2)))
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_batch_item_gradients(self, seed):
+    def test_swap_eyes_gradients(self, seed):
         rng = np.random.default_rng(seed)
-        x = rand(rng, (2, 2, 3, 4))
-        proj = [ad.Tensor(rng.uniform(-1, 1, size=(1, 2, 3, 4))) for _ in range(2)]
+        x = rand(rng, (4, 2, 3, 4))
+        proj = ad.Tensor(rng.uniform(-1, 1, size=(4, 2, 3, 4)))
 
         def build():
-            first, second = (ad.reduce_mean(ad.mul(ad.batch_item(x, i), proj[i])) for i in (0, 1))
-            return ad.add(first, ad.scale(second, 0.5))
+            return ad.reduce_mean(ad.mul(ad.mul(ad.swap_eyes(x), proj), x))
 
         check_gradients(build, [x], tol=1e-4)
 

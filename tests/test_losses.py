@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from conftest import check_gradients
 from fusiondepth import autodiff as ad
 from fusiondepth import losses as ls
-from fusiondepth.network import DisparitySet
+from fusiondepth.network import ArchConfig, DepthNet, DisparitySet, image_batch
+from fusiondepth.scenes import random_scene, render_stereo
+from fusiondepth.training import TrainConfig, stage_plan
 
 
 def const_image(value, shape=(1, 3, 8, 8)):
@@ -22,7 +24,7 @@ def rand_image(seed, shape=(1, 3, 8, 8)):
 class TestReconstruct:
     def test_zero_disparity_identity(self):
         src = rand_image(0)
-        out = ls.reconstruct(src, const_image(0.0, (1, 1, 8, 8)), "left")
+        out = ls.reconstruct(src, const_image(0.0, (1, 1, 8, 8)))
         assert np.array_equal(out.values, src.values)
 
     def test_four_pixel_shift_oracle(self):
@@ -32,7 +34,7 @@ class TestReconstruct:
         left = ad.Tensor(canvas[:, :, :, 0:16])
         right = ad.Tensor(canvas[:, :, :, 4:20])
         disparity = ad.Tensor(np.full((1, 1, 8, 16), 4.0 / 16.0))
-        recon = ls.reconstruct(right, disparity, "left")
+        recon = ls.reconstruct(right, ad.scale(disparity, -1.0))
         interior = slice(4, 16)
         err = np.abs(recon.values[:, :, :, interior] - left.values[:, :, :, interior])
         assert err.max() < 1e-10
@@ -43,13 +45,9 @@ class TestReconstruct:
         left = ad.Tensor(canvas[:, :, :, 0:16])
         right = ad.Tensor(canvas[:, :, :, 4:20])
         disparity = ad.Tensor(np.full((1, 1, 8, 16), 4.0 / 16.0))
-        recon = ls.reconstruct(left, disparity, "right")
+        recon = ls.reconstruct(left, disparity)
         err = np.abs(recon.values[:, :, :, :12] - right.values[:, :, :, :12])
         assert err.max() < 1e-10
-
-    def test_unknown_direction_rejected(self):
-        with pytest.raises(ValueError):
-            ls.reconstruct(rand_image(3), const_image(0.0, (1, 1, 8, 8)), "up")
 
     @pytest.mark.parametrize("seed", range(3))
     def test_gradient_reaches_disparity(self, seed):
@@ -58,7 +56,7 @@ class TestReconstruct:
         disp = ad.Tensor(rng.uniform(0.04, 0.11, (1, 1, 8, 8)), requires_grad=True)
 
         def build():
-            return ad.reduce_mean(ls.reconstruct(src, disp, "left"))
+            return ad.reduce_mean(ls.reconstruct(src, ad.scale(disp, -1.0)))
 
         check_gradients(build, [disp], tol=1e-3)
 
@@ -134,20 +132,28 @@ class TestSmoothness:
             assert np.array_equal(got.values, want)
 
 
+def lr_consistency(disparity):
+    return ls.lr_consistency_loss(disparity, ls.signed_offsets(disparity))
+
+
 class TestLRConsistency:
+    """On (2, 1, H, W) pairs of a left then a right disparity map."""
+
     def test_zero_maps(self):
-        z = const_image(0.0, (1, 1, 8, 8))
-        assert ls.lr_consistency_loss(z, z).item() == 0.0
+        assert lr_consistency(const_image(0.0, (2, 1, 8, 8))).item() == 0.0
 
     def test_consistent_constant_maps(self):
-        c = const_image(0.05, (1, 1, 8, 8))
-        assert ls.lr_consistency_loss(c, c).item() == 0.0
+        assert lr_consistency(const_image(0.05, (2, 1, 8, 8))).item() == 0.0
 
     def test_constant_offset_delta(self):
         c, delta = 0.04, 0.02
-        left = const_image(c, (1, 1, 8, 8))
-        right = const_image(c + delta, (1, 1, 8, 8))
-        assert ls.lr_consistency_loss(left, right).item() == pytest.approx(delta, abs=1e-12)
+        pair = ad.Tensor(np.concatenate([np.full((1, 1, 8, 8), c), np.full((1, 1, 8, 8), c + delta)]))
+        assert lr_consistency(pair).item() == pytest.approx(delta, abs=1e-12)
+
+    def test_offsets_are_signed_per_eye(self):
+        pair = rand_image(14, (4, 1, 8, 8))
+        offsets = ls.signed_offsets(pair).values
+        assert np.array_equal(offsets[:2], -pair.values[:2]) and np.array_equal(offsets[2:], pair.values[2:])
 
 
 class TestOcclusionReg:
@@ -173,65 +179,107 @@ def tape_ops(loss):
     return ops
 
 
-def random_disparity_sets(seed, requires_grad=False, h=32, w=32):
+def random_disparities(seed, requires_grad=False, h=32, w=32):
+    """A DisparitySet of (2, 1, h, w) maps per scale: a left then a right eye."""
     rng = np.random.default_rng(seed)
-    sets = [[ad.Tensor(rng.uniform(0.01, 0.12, (1, 1, h >> s, w >> s)), requires_grad=requires_grad)
-             for s in range(4)] for _ in range(2)]
-    return DisparitySet(sets[0]), DisparitySet(sets[1])
+    return DisparitySet([ad.Tensor(rng.uniform(0.01, 0.12, (2, 1, h >> s, w >> s)), requires_grad=requires_grad)
+                         for s in range(4)])
 
 
-def zero_disparity_sets(h=32, w=32):
-    maps = [const_image(0.0, (1, 1, h >> s, w >> s)) for s in range(4)]
-    return DisparitySet(list(maps)), DisparitySet([const_image(0.0, m.shape) for m in maps])
+def per_eye_loss(left_set, right_set, left, right, weights):
+    """The oracle for ls.total_loss: each term built once per eye from that
+    eye's DisparitySet and (N, 3, H, W) images, then averaged over the two."""
+    def mean_abs_diff(a, b):
+        return ad.reduce_mean(ad.absolute(ad.sub(a, b)))
+
+    left_images, right_images = ls.image_pyramid(left), ls.image_pyramid(right)
+    per_scale = []
+    for s, factor in enumerate(weights.scale_factors):
+        if not factor:
+            continue
+        d_l, d_r = left_set.maps[s], right_set.maps[s]
+        i_l, i_r = left_images[s], right_images[s]
+        app_l = ls.appearance_loss(i_l, ls.reconstruct(i_r, ad.scale(d_l, -1.0)))
+        app_r = ls.appearance_loss(i_r, ls.reconstruct(i_l, d_r))
+        terms = [(app_l + app_r) * 0.5]
+        if weights.smoothness:
+            sm = (ls.smoothness_loss(d_l, i_l) + ls.smoothness_loss(d_r, i_r)) * 0.5
+            terms.append(sm * weights.smoothness)
+        lr_l = mean_abs_diff(d_l, ls.reconstruct(d_r, ad.scale(d_l, -1.0)))
+        lr_r = mean_abs_diff(d_r, ls.reconstruct(d_l, d_r))
+        terms.append((lr_l + lr_r) * 0.5)
+        if weights.occlusion:
+            occ = (ls.occlusion_reg(d_l) + ls.occlusion_reg(d_r)) * 0.5
+            terms.append(occ * weights.occlusion)
+        per_scale.append(sum(terms[1:], terms[0]) * factor)
+    return sum(per_scale[1:], per_scale[0])
 
 
 class TestTotalLoss:
+    """On a (2, 3, H, W) pair of two copies of one image and (2, 1, h, w) disparity pairs."""
+
     def images(self, seed=8, h=32, w=32):
-        img = rand_image(seed, (1, 3, h, w))
-        return img, ad.Tensor(img.values.copy())
+        img = rand_image(seed, (1, 3, h, w)).values
+        return ad.Tensor(np.concatenate([img, img]))
 
     def test_perfect_reconstruction_zero(self):
-        left_set, right_set = zero_disparity_sets()
+        zeros = DisparitySet([const_image(0.0, (2, 1, 32 >> s, 32 >> s)) for s in range(4)])
         weights = ls.LossWeights(smoothness=0.0, occlusion=0.0)
-        loss = ls.total_loss(left_set, right_set, *self.images(), weights)
+        loss = ls.total_loss(zeros, self.images(), weights)
         assert loss.item() == 0.0
 
     def test_disabled_terms_contribute_nothing(self):
-        left_set, right_set = random_disparity_sets(9, requires_grad=True)
-        left, right = self.images()
+        disparities = random_disparities(9, requires_grad=True)
+        images = self.images()
         fine_tune = ls.LossWeights(smoothness=0.0, occlusion=0.0)
-        loss = ls.total_loss(left_set, right_set, left, right, fine_tune)
+        loss = ls.total_loss(disparities, images, fine_tune)
         # smoothness is the only term that crops: a zero weight leaves it off the tape
-        assert "crop" in tape_ops(ls.total_loss(left_set, right_set, left, right, ls.LossWeights()))
+        assert "crop" in tape_ops(ls.total_loss(disparities, images, ls.LossWeights()))
         assert "crop" not in tape_ops(loss)
         # and the value matches assembling appearance and left-right by hand
         w = ls.LossWeights()
         manual = 0.0
-        li = ls.image_pyramid(left)
-        ri = ls.image_pyramid(right)
+        pyramid = ls.image_pyramid(images)
         for s in range(4):
-            d_l, d_r = left_set.maps[s], right_set.maps[s]
-            app = (
-                ls.appearance_loss(li[s], ls.reconstruct(ri[s], d_l, "left")).item()
-                + ls.appearance_loss(ri[s], ls.reconstruct(li[s], d_r, "right")).item()
-            ) / 2
-            lr = ls.lr_consistency_loss(d_l, d_r).item()
-            manual += w.scale_factors[s] * (app + lr)
+            d = disparities.maps[s]
+            offsets = ls.signed_offsets(d)
+            app = ls.appearance_loss(pyramid[s], ls.reconstruct(ad.swap_eyes(pyramid[s]), offsets)).item()
+            manual += w.scale_factors[s] * (app + ls.lr_consistency_loss(d, offsets).item())
         assert loss.item() == pytest.approx(manual, rel=1e-12)
 
     def test_finite_and_positive_on_random_maps(self):
         rng = np.random.default_rng(10)
-        maps_l = [ad.Tensor(rng.uniform(0.01, 0.25, (1, 1, 32 >> s, 32 >> s))) for s in range(4)]
-        maps_r = [ad.Tensor(rng.uniform(0.01, 0.25, (1, 1, 32 >> s, 32 >> s))) for s in range(4)]
-        loss = ls.total_loss(DisparitySet(maps_l), DisparitySet(maps_r), *self.images(11), ls.LossWeights())
+        maps = [ad.Tensor(rng.uniform(0.01, 0.25, (2, 1, 32 >> s, 32 >> s))) for s in range(4)]
+        loss = ls.total_loss(DisparitySet(maps), self.images(11), ls.LossWeights())
         assert np.isfinite(loss.item()) and loss.item() > 0.0
 
     def test_scale_subset_sums_only_those_scales(self):
         images = self.images(13)
-        sets = random_disparity_sets(12)
-        all_scales = ls.total_loss(*sets, *images, ls.LossWeights()).item()
+        disparities = random_disparities(12)
+        all_scales = ls.total_loss(disparities, images, ls.LossWeights()).item()
         f = ls.LossWeights().scale_factors
         one_hot = [tuple(f[t] if t == s else 0.0 for t in range(4)) for s in range(4)]
-        per_scale = [ls.total_loss(*sets, *images, ls.LossWeights(scale_factors=fs)).item() for fs in one_hot]
+        per_scale = [ls.total_loss(disparities, images, ls.LossWeights(scale_factors=fs)).item() for fs in one_hot]
         assert all_scales == pytest.approx(sum(per_scale), rel=1e-12)
 
+
+class TestStackedMatchesPerEye:
+    """The loss over a forward of the stacked pair against per_eye_loss over
+    a forward of each eye alone, for each arch and stage."""
+
+    @pytest.mark.parametrize("stage", [1, 2, 3])
+    @pytest.mark.parametrize("arch", [{}, {"coordconv": False}, {"fusion": False}, {"refinement": False}],
+                             ids=["default", "no_coordconv", "no_fusion", "no_refinement"])
+    def test_loss_and_leaf_gradients(self, arch, stage):
+        scene = render_stereo(random_scene(5, width=32, height=32, two_layer=True))
+        weights = stage_plan(TrainConfig())[stage - 1][1]
+        net = DepthNet(ArchConfig(**arch), seed=2)
+        left, right = image_batch(scene.left[None]), image_batch(scene.right[None])
+        pair = image_batch(np.stack([scene.left, scene.right]))
+        loss = ls.total_loss(net.forward(pair), pair, weights)
+        want = per_eye_loss(net.forward(left), net.forward(right), left, right, weights)
+        assert loss.item() == pytest.approx(want.item(), rel=1e-12)
+        grads, want_grads = ad.backward(loss), ad.backward(want)
+        assert grads.keys() == want_grads.keys()
+        for t, g in want_grads.items():
+            assert np.linalg.norm(grads[t] - g) <= 1e-12 * np.linalg.norm(g)

@@ -195,8 +195,8 @@ class TestRenderStereo:
             spec = random_scene(seed, width=64, height=64, two_layer=seed % 2 == 1)
             sample = render_stereo(spec)
             gt = sample.gt_disparity
-            offsets = ad.Tensor(gt[None, None] / 64.0)
-            recon = ls.reconstruct(image_batch(sample.right[None]), offsets, "left")
+            offsets = ad.Tensor(-gt[None, None] / 64.0)
+            recon = ls.reconstruct(image_batch(sample.right[None]), offsets)
             mask = nonoccluded_mask(gt)
             err = np.abs(recon.values - image_batch(sample.left[None]).values)[0, :, mask].max()
             assert err < 1e-12, f"seed {seed}: warp error {err}"

@@ -18,6 +18,7 @@ from fusiondepth import training as tr
 from fusiondepth.network import (ArchConfig, DepthNet, format_config_lines, image_batch, load_checkpoint,
                                 save_checkpoint)
 from fusiondepth.scenes import SceneError, random_scene, render_stereo, write_dataset
+from test_losses import per_eye_loss
 
 
 def leaf(value):
@@ -248,9 +249,9 @@ class TestBatch:
         leaves = [t for _, t in net.parameters()]
 
         def loss_and_grad(chunk):
-            left = image_batch(np.stack([s.left for s in chunk]))
-            right = image_batch(np.stack([s.right for s in chunk]))
-            loss = tr.total_loss(net.forward(left), net.forward(right), left, right, tr.LossWeights())
+            # B lefts then B rights
+            images = image_batch(np.stack([s.left for s in chunk] + [s.right for s in chunk]))
+            loss = tr.total_loss(net.forward(images), images, tr.LossWeights())
             grads = ad.backward(loss)
             return loss.item(), np.concatenate([grads[t].ravel() for t in leaves])
 
@@ -278,6 +279,24 @@ class TestPairStep:
         tr._train_epoch(net, opt, samples, np.random.default_rng(0), tr.LossWeights())
         assert shapes == [(2, 3, 32, 32)] * 2
 
+    @pytest.mark.parametrize("stage, warps", [(1, 8), (2, 4), (3, 4)])
+    def test_loss_tape_warps_each_built_scale_twice(self, stage, warps):
+        # one warp of the images and one of the disparities per built scale, over the pair
+        scene = render_stereo(random_scene(0, width=32, height=32))
+        net = DepthNet(tiny_arch(), seed=0)
+        outputs = []
+
+        def forward(images):
+            outputs.append(DepthNet.forward(net, images))
+            return outputs[-1]
+
+        net.forward = forward
+        loss = tr._pair_loss(net, scene, tr.stage_plan(tr.TrainConfig())[stage - 1][1])
+        ops = tape_ops([loss])
+        assert ops.count("grid_sample") == warps and "batch_item" not in ops
+        # the forward tape of the (4, 6, 8) arch, which the loss leaves as it is
+        assert len(tape_ops(outputs[0].maps)) == 188
+
     @pytest.mark.parametrize("arch", [{}, {"coordconv": False}, {"fusion": False}, {"refinement": False}],
                              ids=["default", "no_coordconv", "no_fusion", "no_refinement"])
     def test_pair_matches_two_single_forwards(self, arch):
@@ -290,8 +309,8 @@ class TestPairStep:
         for s in range(4):
             assert np.array_equal(pair.maps[s].values, np.concatenate([d.maps[s].values for d in singles]))
         loss = tr._pair_loss(net, scene, tr.LossWeights())
-        want = tr.total_loss(*singles, left, right, tr.LossWeights())
-        assert loss.item() == want.item()
+        want = per_eye_loss(*singles, left, right, tr.LossWeights())
+        assert loss.item() == pytest.approx(want.item(), rel=1e-12)
         grads, want_grads = ad.backward(loss), ad.backward(want)
         for t in leaves:
             assert np.linalg.norm(grads[t] - want_grads[t]) <= 1e-12 * np.linalg.norm(want_grads[t])
@@ -320,6 +339,17 @@ class TestStepMemory:
         assert backward_peak <= 36 * mib  # the tape is freed as backward runs
         assert after_backward <= 1.05 * param_bytes  # only the leaf gradients remain
         assert adam_peak - after_backward <= 1 * mib  # no whole-tensor temporaries
+
+
+def tape_ops(roots):
+    """The op name of each distinct tensor reachable from `roots`."""
+    seen, stack = {}, list(roots)
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node._op
+            stack.extend(node._parents)
+    return list(seen.values())
 
 
 def tiny_arch():
