@@ -10,9 +10,10 @@ the graph as it goes: once an op's closure has run, the op drops it and its
 parents, so each activation is freed after its last consumer's closure, and a
 graph is differentiated once. A closure keeps its op's parents, output and
 index data, and derives slopes, signs, masks and conv2d's im2col columns of x
-and of g when backward runs; only grid_sample_bilinear keeps its gathered
-samples, as a rebuild would gather twice. So an op's input values must not be
-written between its forward and backward(); Adam writes the leaves after it.
+and of g when backward runs; only grid_sample_bilinear keeps a gathered
+array, the difference of its two taps, as a rebuild would gather twice. So an
+op's input values must not be written between its forward and backward();
+Adam writes the leaves after it.
 Binary ops take operands of equal shape; nothing broadcasts. Scalars (losses)
 live in shape (1, 1, 1, 1).
 """
@@ -306,19 +307,18 @@ def concat_channels(parts):
     return _tracked(out, tuple(parts), vjp, "concat")
 
 
-def crop(x, top, bottom, left, right):
-    """Keep rows [top, bottom) and columns [left, right)."""
-    _, _, h, w = x.shape
-    if not (0 <= top < bottom <= h and 0 <= left < right <= w):
-        raise ShapeError(f"crop window [{top}:{bottom}, {left}:{right}] outside {x.shape}")
-    out = x.values[:, :, top:bottom, left:right].copy()
+def diff(x, axis):
+    """Forward differences along `axis`, as np.diff: x[i + 1] - x[i]."""
+    out = np.diff(x.values, axis=axis)
 
     def vjp(g):
-        full = np.zeros_like(x.values)
-        full[:, :, top:bottom, left:right] = g
-        return (full,)
+        gx = np.zeros_like(x.values)
+        gv, gs = np.swapaxes(gx, axis, 3), np.swapaxes(g, axis, 3)
+        gv[..., 1:] = gs
+        gv[..., :-1] -= gs
+        return (gx,)
 
-    return _tracked(out, (x,), vjp, "crop")
+    return _tracked(out, (x,), vjp, "diff")
 
 
 def swap_eyes(x):
@@ -509,14 +509,15 @@ def grid_sample_bilinear(source, offsets):
     j1 = np.minimum(j0 + 1, w - 1)
     frac = pos - j0
 
-    left = np.take_along_axis(source.values, np.broadcast_to(j0, source.shape), axis=3)
-    right = np.take_along_axis(source.values, np.broadcast_to(j1, source.shape), axis=3)
-    out = left + frac * (right - left)
+    out = np.take_along_axis(source.values, np.broadcast_to(j0, source.shape), axis=3)
+    slope = np.take_along_axis(source.values, np.broadcast_to(j1, source.shape), axis=3)
+    slope -= out
+    out += frac * slope  # out held the left taps; in place, no tap array is freed to fragment the heap
 
     inside = (pos_raw > 0.0) & (pos_raw < w - 1.0)
 
     def vjp(g):
-        goff = ((right - left) * g).sum(axis=1, keepdims=True) * w * inside
+        goff = (slope * g).sum(axis=1, keepdims=True) * w * inside
         if not source.requires_grad:
             return None, goff
         row_start = np.arange(0, n * c * h * w, w).reshape(n, c, h, 1)

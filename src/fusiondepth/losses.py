@@ -1,13 +1,13 @@
 """View-synthesis training objective.
 
 Built from engine ops so gradients reach the network: SSIM+L1 appearance
-matching against bilinear reconstructions, edge-aware disparity smoothness
-(its edge weights depend on the image alone and are numpy constants),
-left-right disparity consistency, and occlusion regularization, combined over
-4 scales with geometric per-scale factors. Disparities are in normalized-width
-units throughout. The loss is one graph over a stereo batch: each eye is
-reconstructed from the other (ad.swap_eyes) by its disparity times its sign,
-and every term is a mean over the batch.
+matching against bilinear reconstructions, edge-aware smoothness of the
+disparity's ad.diff (its edge weights depend on the image alone and are numpy
+constants), left-right disparity consistency, and occlusion regularization,
+combined over 4 scales with geometric per-scale factors. Disparities are in
+normalized-width units throughout. The loss is one graph over a stereo batch:
+ad.grid_sample_bilinear reconstructs each eye from the other (ad.swap_eyes)
+by its disparity times its sign, and every term is a mean over the batch.
 """
 
 from __future__ import annotations
@@ -33,12 +33,6 @@ class LossWeights:
     smoothness: float = 0.1
     occlusion: float = 0.01
     scale_factors: tuple = (1.0, 0.5, 0.25, 0.125)
-
-
-def reconstruct(source, offsets):
-    """Warp `source` horizontally to synthesize the other view: pixel j of a
-    row samples the source at j + offsets*W (see signed_offsets)."""
-    return ad.grid_sample_bilinear(source, offsets)
 
 
 def signed_offsets(disparity):
@@ -68,16 +62,6 @@ def appearance_loss(target, reconstruction):
     return SSIM_SHARE * ssim_term + (1.0 - SSIM_SHARE) * l1_term
 
 
-def _x_grad(t):
-    _, _, h, w = t.shape
-    return ad.sub(ad.crop(t, 0, h, 1, w), ad.crop(t, 0, h, 0, w - 1))
-
-
-def _y_grad(t):
-    _, _, h, w = t.shape
-    return ad.sub(ad.crop(t, 1, h, 0, w), ad.crop(t, 0, h - 1, 0, w))
-
-
 def edge_weight(image, axis):
     """exp(-mean_c |dI|) along `axis` (3 for x, 2 for y) of an image Tensor:
     a constant, since no gradient flows into the image."""
@@ -87,15 +71,15 @@ def edge_weight(image, axis):
 def smoothness_loss(disparity, image):
     """Edge-aware first-order penalty: mean |dd| * exp(-mean_c |dI|), summed
     over the two gradient directions."""
-    loss_x = ad.reduce_mean(ad.mul(ad.absolute(_x_grad(disparity)), edge_weight(image, 3)))
-    loss_y = ad.reduce_mean(ad.mul(ad.absolute(_y_grad(disparity)), edge_weight(image, 2)))
+    loss_x = ad.reduce_mean(ad.mul(ad.absolute(ad.diff(disparity, 3)), edge_weight(image, 3)))
+    loss_y = ad.reduce_mean(ad.mul(ad.absolute(ad.diff(disparity, 2)), edge_weight(image, 2)))
     return ad.add(loss_x, loss_y)
 
 
 def lr_consistency_loss(disparity, offsets):
     """Mean mismatch between each eye's disparity and the other eye's, warped
     into it by `offsets` (signed_offsets of `disparity`)."""
-    projected = reconstruct(ad.swap_eyes(disparity), offsets)
+    projected = ad.grid_sample_bilinear(ad.swap_eyes(disparity), offsets)
     return ad.reduce_mean(ad.absolute(ad.sub(disparity, projected)))
 
 
@@ -126,7 +110,7 @@ def total_loss(disparities, images, weights):
             continue
         d, i = disparities.maps[s], pyramid[s]
         offsets = signed_offsets(d)
-        terms = [appearance_loss(i, reconstruct(ad.swap_eyes(i), offsets))]
+        terms = [appearance_loss(i, ad.grid_sample_bilinear(ad.swap_eyes(i), offsets))]
         if weights.smoothness:
             terms.append(smoothness_loss(d, i) * weights.smoothness)
         terms.append(lr_consistency_loss(d, offsets))

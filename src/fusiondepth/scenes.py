@@ -104,7 +104,7 @@ _OCTAVES = ((16, 1.0), (8, 0.6), (4, 0.35), (2, 0.2))
 _HAZE = np.array([0.82, 0.88, 0.95])  # what distant surfaces fade toward
 
 
-def _octave_noise(rng, height, width, coarseness=1.0):
+def _octave_noise(rng, height, width, coarseness):
     """Zero-mean multi-octave value noise, std roughly 0.28.
 
     The base octave keeps its wavelength (every surface stays visible in the
@@ -120,7 +120,7 @@ def _octave_noise(rng, height, width, coarseness=1.0):
     return out * 0.4
 
 
-def make_texture(rng, kind, height, width, coarseness=1.0, tint=0.0):
+def make_texture(rng, kind, height, width, coarseness, tint):
     """An (H, W, 3) texture in [0, 1] drawn from the given generator.
 
     `coarseness` scales the pattern wavelength (perspective: the same material
@@ -144,9 +144,7 @@ def make_texture(rng, kind, height, width, coarseness=1.0, tint=0.0):
         tex = np.clip(base + 0.35 * _octave_noise(rng, height, width, coarseness), 0.0, 1.0)
     else:
         raise SceneError(f"unknown texture kind {kind!r}")
-    if tint > 0.0:
-        tex = tex * (1.0 - tint) + _HAZE * tint
-    return tex
+    return tex * (1.0 - tint) + _HAZE * tint
 
 
 def _layer_disparity(layer, spec):

@@ -24,7 +24,7 @@ def rand_image(seed, shape=(1, 3, 8, 8)):
 class TestReconstruct:
     def test_zero_disparity_identity(self):
         src = rand_image(0)
-        out = ls.reconstruct(src, const_image(0.0, (1, 1, 8, 8)))
+        out = ad.grid_sample_bilinear(src, const_image(0.0, (1, 1, 8, 8)))
         assert np.array_equal(out.values, src.values)
 
     def test_four_pixel_shift_oracle(self):
@@ -34,7 +34,7 @@ class TestReconstruct:
         left = ad.Tensor(canvas[:, :, :, 0:16])
         right = ad.Tensor(canvas[:, :, :, 4:20])
         disparity = ad.Tensor(np.full((1, 1, 8, 16), 4.0 / 16.0))
-        recon = ls.reconstruct(right, ad.scale(disparity, -1.0))
+        recon = ad.grid_sample_bilinear(right, ad.scale(disparity, -1.0))
         interior = slice(4, 16)
         err = np.abs(recon.values[:, :, :, interior] - left.values[:, :, :, interior])
         assert err.max() < 1e-10
@@ -45,7 +45,7 @@ class TestReconstruct:
         left = ad.Tensor(canvas[:, :, :, 0:16])
         right = ad.Tensor(canvas[:, :, :, 4:20])
         disparity = ad.Tensor(np.full((1, 1, 8, 16), 4.0 / 16.0))
-        recon = ls.reconstruct(left, disparity)
+        recon = ad.grid_sample_bilinear(left, disparity)
         err = np.abs(recon.values[:, :, :, :12] - right.values[:, :, :, :12])
         assert err.max() < 1e-10
 
@@ -56,7 +56,7 @@ class TestReconstruct:
         disp = ad.Tensor(rng.uniform(0.04, 0.11, (1, 1, 8, 8)), requires_grad=True)
 
         def build():
-            return ad.reduce_mean(ls.reconstruct(src, ad.scale(disp, -1.0)))
+            return ad.reduce_mean(ad.grid_sample_bilinear(src, ad.scale(disp, -1.0)))
 
         check_gradients(build, [disp], tol=1e-3)
 
@@ -199,14 +199,14 @@ def per_eye_loss(left_set, right_set, left, right, weights):
             continue
         d_l, d_r = left_set.maps[s], right_set.maps[s]
         i_l, i_r = left_images[s], right_images[s]
-        app_l = ls.appearance_loss(i_l, ls.reconstruct(i_r, ad.scale(d_l, -1.0)))
-        app_r = ls.appearance_loss(i_r, ls.reconstruct(i_l, d_r))
+        app_l = ls.appearance_loss(i_l, ad.grid_sample_bilinear(i_r, ad.scale(d_l, -1.0)))
+        app_r = ls.appearance_loss(i_r, ad.grid_sample_bilinear(i_l, d_r))
         terms = [(app_l + app_r) * 0.5]
         if weights.smoothness:
             sm = (ls.smoothness_loss(d_l, i_l) + ls.smoothness_loss(d_r, i_r)) * 0.5
             terms.append(sm * weights.smoothness)
-        lr_l = mean_abs_diff(d_l, ls.reconstruct(d_r, ad.scale(d_l, -1.0)))
-        lr_r = mean_abs_diff(d_r, ls.reconstruct(d_l, d_r))
+        lr_l = mean_abs_diff(d_l, ad.grid_sample_bilinear(d_r, ad.scale(d_l, -1.0)))
+        lr_r = mean_abs_diff(d_r, ad.grid_sample_bilinear(d_l, d_r))
         terms.append((lr_l + lr_r) * 0.5)
         if weights.occlusion:
             occ = (ls.occlusion_reg(d_l) + ls.occlusion_reg(d_r)) * 0.5
@@ -233,9 +233,9 @@ class TestTotalLoss:
         images = self.images()
         fine_tune = ls.LossWeights(smoothness=0.0, occlusion=0.0)
         loss = ls.total_loss(disparities, images, fine_tune)
-        # smoothness is the only term that crops: a zero weight leaves it off the tape
-        assert "crop" in tape_ops(ls.total_loss(disparities, images, ls.LossWeights()))
-        assert "crop" not in tape_ops(loss)
+        # smoothness is the only term that differences: a zero weight leaves it off the tape
+        assert "diff" in tape_ops(ls.total_loss(disparities, images, ls.LossWeights()))
+        assert "diff" not in tape_ops(loss)
         # and the value matches assembling appearance and left-right by hand
         w = ls.LossWeights()
         manual = 0.0
@@ -243,7 +243,7 @@ class TestTotalLoss:
         for s in range(4):
             d = disparities.maps[s]
             offsets = ls.signed_offsets(d)
-            app = ls.appearance_loss(pyramid[s], ls.reconstruct(ad.swap_eyes(pyramid[s]), offsets)).item()
+            app = ls.appearance_loss(pyramid[s], ad.grid_sample_bilinear(ad.swap_eyes(pyramid[s]), offsets)).item()
             manual += w.scale_factors[s] * (app + ls.lr_consistency_loss(d, offsets).item())
         assert loss.item() == pytest.approx(manual, rel=1e-12)
 

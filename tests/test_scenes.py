@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from fusiondepth import autodiff as ad
-from fusiondepth import losses as ls
 from fusiondepth import netpbm
 from fusiondepth.network import image_batch
 from fusiondepth.scenes import (
@@ -196,7 +195,7 @@ class TestRenderStereo:
             sample = render_stereo(spec)
             gt = sample.gt_disparity
             offsets = ad.Tensor(-gt[None, None] / 64.0)
-            recon = ls.reconstruct(image_batch(sample.right[None]), offsets)
+            recon = ad.grid_sample_bilinear(image_batch(sample.right[None]), offsets)
             mask = nonoccluded_mask(gt)
             err = np.abs(recon.values - image_batch(sample.left[None]).values)[0, :, mask].max()
             assert err < 1e-12, f"seed {seed}: warp error {err}"

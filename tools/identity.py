@@ -23,6 +23,7 @@ same checkpoints, its inference outputs match TREE's manifest.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import os
 import subprocess
@@ -64,21 +65,24 @@ def run_cli(tree, workdir, args):
     return proc.stdout
 
 
-def run_recipe(tree, workdir, train_tree):
+def run_recipe(workdir, run, train):
+    """Write every artifact of the recipe into `workdir`. `train(workdir, args)`
+    runs gen-data and train, `run(workdir, args)` eval and predict; each runs
+    one CLI command and returns its stdout."""
     for out, flags in DATASETS.items():
-        run_cli(train_tree, workdir, ["gen-data", "--out", out, "--seed", "0", *flags])
+        train(workdir, ["gen-data", "--out", out, "--seed", "0", *flags])
     for arch, (data, lines) in ARCHS.items():
         config = [*lines, f"train.stage_epochs = {STAGE_EPOCHS}",
                   f"train.dataset_dir = {data}", f"train.checkpoint_dir = {arch}"]
         Path(workdir, f"{arch}.cfg").write_text("\n".join(config) + "\n")
-        run_cli(train_tree, workdir, ["train", "--config", f"{arch}.cfg"])
+        train(workdir, ["train", "--config", f"{arch}.cfg"])
         checkpoint = ["--checkpoint", f"{arch}/final.fdpt"]
         for suffix, extra in (("", []), ("_pp", ["--pp"])):
-            report = run_cli(tree, workdir, ["eval", *checkpoint, "--data", data, *extra])
+            report = run(workdir, ["eval", *checkpoint, "--data", data, *extra])
             Path(workdir, arch, f"eval{suffix}.csv").write_text(report)
         for suffix, extra in (("", []), ("_pp", ["--pp"]), ("_depth", ["--depth"])):
-            run_cli(tree, workdir, ["predict", *checkpoint, "--image", f"{data}/000000_left.ppm",
-                                    "--out", f"{arch}/predict{suffix}.pgm", *extra])
+            run(workdir, ["predict", *checkpoint, "--image", f"{data}/000000_left.ppm",
+                          "--out", f"{arch}/predict{suffix}.pgm", *extra])
 
 
 def manifest(workdir):
@@ -104,7 +108,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="fusiondepth-identity-") as workdir:
-        run_recipe(args.tree, workdir, args.train_tree or args.tree)
+        run_recipe(workdir, functools.partial(run_cli, args.tree),
+                   functools.partial(run_cli, args.train_tree or args.tree))
         digests = manifest(workdir)
     for name, digest in digests.items():
         print(f"{digest} {name}")
