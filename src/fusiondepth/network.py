@@ -10,7 +10,8 @@ logits to disparity once, as d_max * sigmoid. Every conv is 3x3 except the
 1x1 fusion projections of the same and the coarser level, and fusion keeps
 about half of each level's width for the same level. Includes the flat
 `<section>.<field> = value` config syntax and the binary checkpoint format
-("FDPT4"), whose header stores the architecture.
+("FDPT5"): the architecture header, then each parameter's values in
+construction order.
 """
 
 from __future__ import annotations
@@ -330,15 +331,16 @@ class DepthNet:
     """Full pipeline: encode, coordconv, fuse, decode, refine.
 
     Building the net fills its parameter table in construction order: a fresh
-    net draws each leaf from `seed`; given `state` ({name: array}, as
-    `read_checkpoint` returns), each leaf takes its record's array instead.
+    net draws each leaf from `seed`; given `read` (as `read_checkpoint`
+    passes it), each leaf takes the array `read(name, shape)` returns instead.
+    That order is the checkpoint format, so changing it changes the format.
     """
 
-    def __init__(self, cfg: ArchConfig, seed=0, state=None):
+    def __init__(self, cfg: ArchConfig, seed=0, read=None):
         self.cfg = cfg
         self._params = []
-        self._state = state
-        self._random = np.random.default_rng(seed) if state is None else None
+        self._read = read
+        self._random = np.random.default_rng(seed) if read is None else None
         L = cfg.num_levels
         extra = 3 if cfg.coordconv else 0
 
@@ -379,25 +381,15 @@ class DepthNet:
             for s in (3, 2, 1, 0):
                 self.heads[s] = Conv(self, f"head.{s}.conv", feat_width(s), 1, 3)
 
-        if state is None:
+        if read is None:
             for module in self.refine.values():
                 module.start_at_identity()
-        elif len(state) > len(self._params):  # every leaf found its record, so the rest are extra
-            names = {name for name, _ in self._params}
-            raise ConfigError(f"unexpected record {next(n for n in state if n not in names)!r}")
-        del self._state, self._random
+        del self._read, self._random
 
     def leaf(self, name, shape, draw):
-        """A trainable leaf appended to the parameter table: the record `name`
-        of the loaded state, or `draw(rng, shape)` for a fresh net."""
-        if self._state is None:
-            values = draw(self._random, shape)
-        elif name not in self._state:
-            raise ConfigError(f"missing record {name!r}")
-        else:
-            values = self._state[name]
-            if values.shape != shape:
-                raise ConfigError(f"record {name!r} has shape {values.shape}, expected {shape}")
+        """A trainable leaf appended to the parameter table: `read(name, shape)`
+        for a loaded net, or `draw(rng, shape)` for a fresh one."""
+        values = draw(self._random, shape) if self._read is None else self._read(name, shape)
         tensor = ad.Tensor(values, requires_grad=True)
         self._params.append((name, tensor))
         return tensor
@@ -449,12 +441,12 @@ class DepthNet:
 
 
 # ---------------------------------------------------------------------------
-# checkpoint format: b"FDPT4", a uint32 LE header length, the header (the
-# arch.* lines of the config syntax, utf-8), then per parameter (in
-# construction order): uint16 LE name length, utf-8 name, 4x uint64 LE
-# extents, float64 LE values in C order.
+# checkpoint format: b"FDPT5", a uint32 LE header length, the header (the
+# arch.* lines of the config syntax, utf-8), then each parameter's float64 LE
+# values in C order, in construction order. The header is the only record of
+# the parameters' names and shapes: the net it describes reads them back.
 
-CHECKPOINT_MAGIC = b"FDPT4"
+CHECKPOINT_MAGIC = b"FDPT5"
 
 
 class CheckpointError(IOError):
@@ -471,11 +463,7 @@ def save_checkpoint(path, net):
             f.write(CHECKPOINT_MAGIC)
             f.write(struct.pack("<I", len(header)))
             f.write(header)
-            for name, t in net.parameters():
-                encoded = name.encode("utf-8")
-                f.write(struct.pack("<H", len(encoded)))
-                f.write(encoded)
-                f.write(struct.pack("<4Q", *t.values.shape))
+            for _, t in net.parameters():
                 f.write(t.values.astype("<f8", copy=False).tobytes())
         os.replace(tmp, path)
     finally:
@@ -484,7 +472,7 @@ def save_checkpoint(path, net):
 
 
 def _read_header(path, f, size):
-    """The ArchConfig stored after the magic; leaves `f` at the first record.
+    """The ArchConfig stored after the magic; leaves `f` at the first payload.
     A bad header line or range check fails as `... at byte 9: header:<line>: ...`."""
     if f.tell() + 4 > size:
         raise CheckpointError(f"{path}: truncated header length at byte {f.tell()}")
@@ -506,48 +494,40 @@ def _read_header(path, f, size):
 
 
 def read_checkpoint(path):
-    """Read a checkpoint into its ArchConfig and an ordered {name: array} dict.
+    """The net a checkpoint's header describes, each leaf reading its payload
+    as the net builds it.
 
-    Every extent is checked against the file size before anything is
-    allocated, and each payload is read straight into its array, so the
-    file's bytes are held in memory once."""
+    Each payload's size is checked against the bytes left before its array is
+    allocated, and the payload is read straight into that array, so the
+    file's bytes are held in memory once. A header that describes no
+    buildable net raises the ConfigError of its build."""
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
         magic = f.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise CheckpointError(f"{path}: bad magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
         cfg = _read_header(path, f, size)
-        state = {}
-        while (start := f.tell()) < size:
-            if start + 2 > size:
-                raise CheckpointError(f"{path}: truncated record header at byte {start}")
-            (nlen,) = struct.unpack("<H", f.read(2))
-            if start + 2 + nlen + 32 > size:
-                raise CheckpointError(f"{path}: truncated record at byte {start}")
-            try:
-                name = f.read(nlen).decode("utf-8")
-            except UnicodeDecodeError:
-                raise CheckpointError(f"{path}: record name at byte {start + 2} is not utf-8") from None
-            if name in state:
-                raise CheckpointError(f"{path}: duplicate record {name!r} at byte {start}")
-            shape = struct.unpack("<4Q", f.read(32))
+
+        def read(name, shape):
             off = f.tell()
-            count = math.prod(shape)  # Python ints: huge extents cannot wrap to a small count
             past_end = CheckpointError(f"{path}: payload of {name!r} at byte {off} runs past end of file")
-            if 8 * count > size - off:
+            if 8 * math.prod(shape) > size - off:  # Python ints: huge widths cannot wrap to a small count
                 raise past_end
             values = np.empty(shape, "<f8")
-            if f.readinto(values) != 8 * count:  # the file shrank after fstat
+            if f.readinto(values) != values.nbytes:  # the file shrank after fstat
                 raise past_end
-            state[name] = values
-    return cfg, state
+            return values
+
+        net = DepthNet(cfg, read=read)
+        if (end := f.tell()) < size:
+            raise CheckpointError(f"{path}: {size - end} trailing bytes at byte {end}, after the last payload")
+    return net
 
 
 def load_checkpoint(path):
-    """Rebuild a network from a checkpoint alone: the net its header's
-    architecture describes, each leaf taking its record's values as it is built."""
-    cfg, state = read_checkpoint(path)
+    """`read_checkpoint`, with a valid header that describes no buildable net
+    (say, a width too narrow for fusion) failing as a CheckpointError."""
     try:
-        return DepthNet(cfg, state=state)
+        return read_checkpoint(path)
     except ConfigError as e:
-        raise CheckpointError(f"{path}: records do not match the stored architecture: {e}") from None
+        raise CheckpointError(f"{path}: stored architecture cannot be built: {e}") from None

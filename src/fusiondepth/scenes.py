@@ -136,14 +136,12 @@ def make_texture(rng, kind, height, width, coarseness, tint):
         tex = _blur(c0 + pattern[..., None] * (c1 - c0))
     elif kind == "noise":
         tex = np.clip(0.5 + _octave_noise(rng, height, width, coarseness), 0.02, 0.98)
-    elif kind == "gradient":
+    else:  # "gradient": SceneSpec admits only the TEXTURE_KINDS
         c0 = rng.uniform(0.0, 1.0, size=3)
         c1 = rng.uniform(0.0, 1.0, size=3)
         ramp = np.linspace(0.0, 1.0, width) if width > 1 else np.zeros(1)
         base = np.broadcast_to(c0 + ramp[:, None] * (c1 - c0), (height, width, 3))
         tex = np.clip(base + 0.35 * _octave_noise(rng, height, width, coarseness), 0.0, 1.0)
-    else:
-        raise SceneError(f"unknown texture kind {kind!r}")
     return tex * (1.0 - tint) + _HAZE * tint
 
 

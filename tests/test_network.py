@@ -1,7 +1,7 @@
 """Structural tests for the pyramid network, fusion, coordconv, refinement,
 and the checkpoint format."""
 
-import math
+import hashlib
 import os
 import struct
 import tracemalloc
@@ -267,6 +267,22 @@ class TestParameterAudit:
         expected_prefixes = ("refine.", "head.0.", "head.1.", "head.2.", "decoder.0.")
         assert delta and all(n.startswith(expected_prefixes) for n in delta)
 
+    # sha256 of repr([(name, shape), ...]) in construction order
+    @pytest.mark.parametrize("cfg,digest", [
+        (nw.ArchConfig(), "ee26d61c84b2e81ad3f316a290f7bf5860cb62be50cda55ae0f3fcea9411dbd4"),
+        (nw.ArchConfig(coordconv=False), "e2d01a14cdd9ea6f68ead2c9c917efe5ea120e87eabb22a74917aa5815359d45"),
+        (nw.ArchConfig(fusion=False), "6011e13676ddfefe0b5be096ca28cd3a2e8ce2ef61b9738af052d2480be9a3bc"),
+        (nw.ArchConfig(refinement=False), "a4d475d5743ac9ac75aec50a15db991279420996f2fd470cd35873c43aa406c5"),
+        (small_cfg(), "be59c76b66172e2fa2e5390a7d876f2f52a1faa9725db5243247519098407388"),
+    ], ids=["default_arch", "no_coordconv", "no_fusion", "no_refinement", "small"])
+    def test_table_is_the_checkpoint_format(self, cfg, digest):
+        # a checkpoint stores only payloads in this order, so a reordered,
+        # renamed or reshaped parameter would load silently into the wrong layer
+        table = [(name, t.shape) for name, t in nw.DepthNet(cfg, seed=0).parameters()]
+        assert hashlib.sha256(repr(table).encode()).hexdigest() == digest, (
+            "the parameter table changed, which changes the checkpoint format: "
+            "bump network.CHECKPOINT_MAGIC and update this digest")
+
 
 class TestCheckpoint:
     def roundtrip(self, tmp_path, cfg, tag="net"):
@@ -275,6 +291,8 @@ class TestCheckpoint:
         before = net.forward(img)
         path = tmp_path / f"{tag}.fdpt"
         nw.save_checkpoint(path, net)
+        (hlen,) = struct.unpack_from("<I", path.read_bytes(), 5)
+        assert path.stat().st_size == 9 + hlen + 8 * sum(t.values.size for _, t in net.parameters())
         loaded = nw.load_checkpoint(path)
         after = loaded.forward(img)
         for ma, mb in zip(before.maps, after.maps):
@@ -366,18 +384,13 @@ class TestCheckpoint:
             tracemalloc.stop()
         assert peak <= 1.05 * path.stat().st_size
 
-    def test_records_in_construction_order(self, tmp_path):
-        net = nw.DepthNet(small_cfg(), seed=0)
-        path = tmp_path / "order.fdpt"
-        nw.save_checkpoint(path, net)
-        _, state = nw.read_checkpoint(path)
-        assert list(state) == [name for name, _ in net.parameters()]
-
     @pytest.mark.parametrize("corrupt,match", [
-        pytest.param(lambda h, r: b"FDPT1" + r, r"bad magic b'FDPT1', expected b'FDPT4'", id="fdpt1"),
-        pytest.param(lambda h, r: b"FDPT2" + join(h, r)[5:], r"bad magic b'FDPT2', expected b'FDPT4'", id="fdpt2"),
+        pytest.param(lambda h, r: b"FDPT1" + r, r"bad magic b'FDPT1', expected b'FDPT5'", id="fdpt1"),
+        pytest.param(lambda h, r: b"FDPT2" + join(h, r)[5:], r"bad magic b'FDPT2', expected b'FDPT5'", id="fdpt2"),
         pytest.param(lambda h, r: b"FDPT3" + join(h + b"arch.d_max = 0.3\n", r)[5:],
-                     r"bad magic b'FDPT3', expected b'FDPT4'", id="fdpt3"),
+                     r"bad magic b'FDPT3', expected b'FDPT5'", id="fdpt3"),
+        pytest.param(lambda h, r: b"FDPT4" + join(h, fdpt4_records(r))[5:],
+                     r"bad magic b'FDPT4', expected b'FDPT5'", id="fdpt4"),
         pytest.param(lambda h, r: join(h, r)[:7], "truncated header length at byte 5", id="short_header_length"),
         pytest.param(lambda h, r: nw.CHECKPOINT_MAGIC + struct.pack("<I", 1 << 20) + h + r,
                      "header at byte 9 runs past end", id="header_past_end"),
@@ -390,26 +403,17 @@ class TestCheckpoint:
                      "byte 9: header:1: arch.num_levels: need at least 3 levels, got 2", id="invalid_arch"),
         pytest.param(lambda h, r: join(h.replace(b"arch.refinement", b"# arch.refinement"), r),
                      "byte 9: missing arch.refinement", id="missing_header_key"),
+        pytest.param(lambda h, r: join(h.replace(b"widths = 4,", b"widths = 1,"), r),
+                     "stored architecture cannot be built: level 1 width 1 too narrow", id="unbuildable_arch"),
+        # the no-fusion net has 42 fewer values, so its last payload ends 336 bytes early
         pytest.param(lambda h, r: join(h.replace(b"fusion = true", b"fusion = false"), r),
-                     "records do not match the stored architecture", id="header_disagrees_with_records"),
-        pytest.param(lambda h, r: join(h, r[:2] + b"\xff" * name_len(r) + r[2 + name_len(r):]),
-                     r"name at byte \d+ is not utf-8", id="name_not_utf8"),
-        pytest.param(lambda h, r: join(h, r[:2 + name_len(r)] + struct.pack("<4Q", 2**32, 2**32, 1, 1)
-                                       + r[34 + name_len(r):]),
+                     r"336 trailing bytes at byte \d+, after the last payload", id="header_disagrees_with_records"),
+        # the (4e9, 3, 3, 3) array would need 864 GB: its size is checked against the file first
+        pytest.param(lambda h, r: join(h.replace(b"widths = 4,", b"widths = 4000000000,"), r),
                      r"payload of 'encoder.1.conv1.weight' at byte \d+ runs past end", id="huge_extents"),
         pytest.param(lambda h, r: join(h, r[:-8]),
                      r"payload of 'refine.0.post2.bias' at byte \d+ runs past end", id="truncated_payload"),
-        pytest.param(lambda h, r: join(h, r + r[:first_record_len(r)]),
-                     r"duplicate record 'encoder.1.conv1.weight' at byte \d+", id="duplicate_record"),
-        pytest.param(lambda h, r: join(h, r[first_record_len(r):]),
-                     "missing record 'encoder.1.conv1.weight'", id="missing_record"),
-        pytest.param(lambda h, r: join(h, r + struct.pack("<H", 5) + b"extra" + struct.pack("<4Q", 1, 1, 1, 1)
-                                       + bytes(8)),
-                     "unexpected record 'extra'", id="unexpected_record"),
-        pytest.param(lambda h, r: join(h, r[:2 + name_len(r)] + struct.pack("<4Q", 3, 4, 3, 3)
-                                       + r[34 + name_len(r):]),
-                     r"record 'encoder.1.conv1.weight' has shape \(3, 4, 3, 3\), expected \(4, 3, 3, 3\)",
-                     id="misshapen_record"),
+        pytest.param(lambda h, r: join(h, r + bytes(8)), r"8 trailing bytes at byte \d+", id="trailing_bytes"),
     ])
     def test_malformed_rejected_with_path_and_offset(self, tmp_path, corrupt, match):
         path = tmp_path / "bad.fdpt"
@@ -417,23 +421,30 @@ class TestCheckpoint:
         blob = path.read_bytes()
         (hlen,) = struct.unpack_from("<I", blob, 5)
         path.write_bytes(corrupt(blob[9:9 + hlen], blob[9 + hlen:]))
-        with pytest.raises(nw.CheckpointError, match=match) as info:
-            nw.load_checkpoint(path)
+        tracemalloc.start()
+        try:
+            with pytest.raises(nw.CheckpointError, match=match) as info:
+                nw.load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
         assert str(path) in str(info.value)
+        assert peak < len(blob) + 2**20  # no array sized by the header's widths alone
 
 
-# helpers over the two parts of a saved checkpoint after its magic and header
-# length: the header text h and the record bytes r
+# helpers over the two parts of a saved small_cfg() checkpoint after its magic
+# and header length: the header text h and the payload bytes r
 
 
 def join(header, records):
     return nw.CHECKPOINT_MAGIC + struct.pack("<I", len(header)) + header + records
 
 
-def name_len(records):
-    return struct.unpack_from("<H", records, 0)[0]
-
-
-def first_record_len(records):
-    shape = struct.unpack_from("<4Q", records, 2 + name_len(records))
-    return 34 + name_len(records) + 8 * math.prod(shape)
+def fdpt4_records(records):
+    """The FDPT4 form of the payloads: each led by a uint16 name length, the name and 4 uint64 extents."""
+    out, off = [], 0
+    for name, t in nw.DepthNet(small_cfg(), seed=0).parameters():
+        end = off + t.values.nbytes
+        out += [struct.pack("<H", len(name)), name.encode(), struct.pack("<4Q", *t.shape), records[off:end]]
+        off = end
+    return b"".join(out)

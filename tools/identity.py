@@ -17,7 +17,10 @@ on stderr each artifact whose hash differs, that is missing or that is new,
 and exits 1 if there is any. With `--train-tree TREE`, `gen-data` and
 `train` run from TREE's `src/` and only `eval` and `predict` from the tree
 under test, so a change that moves training bits can show that, given the
-same checkpoints, its inference outputs match TREE's manifest.
+same checkpoints, its inference outputs match TREE's manifest. That needs
+both trees to share a checkpoint format, so `--train-tree` cannot span a
+format change; across one, a plain `--against` run shows identity by naming
+only the `.fdpt` artifacts.
 """
 
 from __future__ import annotations
